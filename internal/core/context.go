@@ -64,8 +64,9 @@ type MethodConfig struct {
 	// SkipPoll polls this method only every k-th pass (default 1: every
 	// pass). This is the paper's skip_poll parameter.
 	SkipPoll int
-	// Blocking starts the module in blocking-detection mode if it supports
-	// it (transport.Blocker); the polling loop then skips it.
+	// Blocking takes the method out of the polling loop; a goroutine woken
+	// by its reactor readiness drains it instead (the paper's blocking-thread
+	// refinement). A method the reactor does not attach is refused.
 	Blocking bool
 }
 
@@ -466,18 +467,6 @@ func (c *Context) enableMethod(reg *transport.Registry, mc MethodConfig) error {
 		return fmt.Errorf("core: enabling method %q: %w", mc.Name, err)
 	}
 	ms.desc = desc
-	if mc.Blocking {
-		b, ok := mod.(transport.Blocker)
-		if !ok {
-			mod.Close()
-			return fmt.Errorf("core: method %q does not support blocking detection", mc.Name)
-		}
-		if err := b.StartBlocking(); err != nil {
-			mod.Close()
-			return fmt.Errorf("core: starting blocking detection for %q: %w", mc.Name, err)
-		}
-		ms.blocking = true
-	}
 	// Offer the reactor (no-op without one, or when the module declines);
 	// before registration, so ms.reactive is published with the module.
 	c.attachReactive(ms)
@@ -487,6 +476,12 @@ func (c *Context) enableMethod(reg *transport.Registry, mc MethodConfig) error {
 	if _, dup := c.byMethod[mc.Name]; dup {
 		mod.Close()
 		return fmt.Errorf("core: method %q enabled twice", mc.Name)
+	}
+	if mc.Blocking {
+		if err := c.startBlocking(ms); err != nil {
+			mod.Close()
+			return err
+		}
 	}
 	c.modules = append(c.modules, ms)
 	c.byMethod[mc.Name] = ms
@@ -687,8 +682,9 @@ func (c *Context) dispatch(ms *moduleState, frame []byte) {
 	c.cBytesRecv.Add(uint64(len(frame)))
 	if c.obs.mode.Load()&obsTrace != 0 && f.HasTrace() && ms != nil {
 		// Poll-stage trace event: detection latency, measured from the start
-		// of the module Poll call that surfaced this frame. Blocking-mode
-		// modules deliver outside a poll pass and report zero.
+		// of the module Poll call that surfaced this frame. A blocking
+		// method's drain goroutine delivers outside a poll pass and reports
+		// zero.
 		now := time.Now()
 		var det time.Duration
 		if start := ms.pollStart.Load(); start != 0 {
@@ -825,6 +821,7 @@ func (c *Context) Close() error {
 		}
 	}
 	for _, ms := range mods {
+		ms.stopBlocking()
 		if err := ms.module.Close(); err != nil {
 			errs = append(errs, err.Error())
 		}

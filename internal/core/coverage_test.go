@@ -24,12 +24,12 @@ func TestNewContextDuplicateMethod(t *testing.T) {
 	}
 }
 
-func TestNewContextBlockingOnNonBlocker(t *testing.T) {
+func TestNewContextBlockingOnNonReactive(t *testing.T) {
 	_, err := NewContext(Options{Methods: []MethodConfig{
 		{Name: "inproc", Blocking: true, Params: transport.Params{"exchange": "cov-blk"}},
 	}})
 	if err == nil || !strings.Contains(err.Error(), "blocking") {
-		t.Fatalf("Blocking on non-Blocker: %v", err)
+		t.Fatalf("Blocking on non-reactive method: %v", err)
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 
 // Poll performs one pass of the unified polling function: it iterates over
 // the context's communication modules in order and invokes each module's
-// method-specific poll — except modules in blocking mode (detected by their
+// method-specific poll — except modules in blocking mode (drained by their
 // own goroutines) and modules whose skip_poll countdown has not expired. It
 // returns the number of frames delivered.
 //
@@ -316,24 +316,17 @@ func (c *Context) AutoSkipPoll() {
 	}
 }
 
-// StartBlocking switches a method to blocking detection (a dedicated
-// goroutine instead of polling), if its module supports it.
+// StartBlocking switches a reactor-attached method to blocking detection: a
+// drain goroutine woken by the method's readiness replaces polling (see
+// MethodConfig.Blocking).
 func (c *Context) StartBlocking(method string) error {
 	ms := c.moduleFor(method)
 	if ms == nil {
 		return fmt.Errorf("core: %w: %q", ErrUnknownMethod, method)
 	}
-	b, ok := ms.module.(transport.Blocker)
-	if !ok {
-		return fmt.Errorf("core: method %q does not support blocking detection", method)
-	}
-	if err := b.StartBlocking(); err != nil {
-		return err
-	}
 	c.pollMu.Lock()
-	ms.blocking = true
-	c.pollMu.Unlock()
-	return nil
+	defer c.pollMu.Unlock()
+	return c.startBlocking(ms)
 }
 
 // StartPoller launches a background goroutine that polls continuously,
@@ -399,6 +392,7 @@ func (c *Context) DisableMethod(method string) error {
 	for _, conn := range toClose {
 		conn.Close()
 	}
+	ms.stopBlocking()
 	return ms.module.Close()
 }
 

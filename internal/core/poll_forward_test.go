@@ -124,14 +124,18 @@ func TestBlockingMethodSkippedByPoller(t *testing.T) {
 	}
 	defer send.Close()
 	var hits atomic.Int64
-	ep := recv.NewEndpoint(WithHandler(func(*Endpoint, *buffer.Buffer) { hits.Add(1) }))
+	delivered := make(chan struct{}, 1)
+	ep := recv.NewEndpoint(WithHandler(func(*Endpoint, *buffer.Buffer) {
+		hits.Add(1)
+		delivered <- struct{}{}
+	}))
 	sp := transferStartpoint(t, ep.NewStartpoint(), send, false)
 	if err := sp.RSR("", nil); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for hits.Load() == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
+	select {
+	case <-delivered:
+	case <-time.After(5 * time.Second):
 	}
 	if hits.Load() != 1 {
 		t.Fatal("blocking-mode tcp never delivered")
@@ -158,7 +162,61 @@ func TestStartBlockingUpgrade(t *testing.T) {
 	}
 	c2 := newCtx(t, "blk-up", "", inprocCfg())
 	if err := c2.StartBlocking("inproc"); err == nil {
-		t.Error("StartBlocking on non-Blocker module succeeded")
+		t.Error("StartBlocking on non-reactive module succeeded")
+	}
+
+	// A connection accepted and polled before the switch keeps delivering
+	// after it, with no Poll: the upgrade covers existing connections.
+	recv2, err := NewContext(Options{Methods: []MethodConfig{{Name: "tcp"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recv2.Close()
+	send, err := NewContext(Options{Methods: []MethodConfig{{Name: "tcp"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer send.Close()
+	delivered := make(chan string, 2)
+	ep := recv2.NewEndpoint(WithHandler(func(_ *Endpoint, b *buffer.Buffer) {
+		delivered <- b.String()
+	}))
+	sp := transferStartpoint(t, ep.NewStartpoint(), send, false)
+	rsr := func(s string) {
+		t.Helper()
+		b := buffer.New(16)
+		b.PutString(s)
+		if err := sp.RSR("", b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rsr("one")
+	var got string
+	if !recv2.PollUntil(func() bool {
+		select {
+		case got = <-delivered:
+			return true
+		default:
+			return false
+		}
+	}, 5*time.Second) || got != "one" {
+		t.Fatalf("before StartBlocking got %q", got)
+	}
+	if err := recv2.StartBlocking("tcp"); err != nil {
+		t.Fatal(err)
+	}
+	polled := recv2.Stats().Get("poll.tcp")
+	rsr("two")
+	select {
+	case got = <-delivered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("existing connection did not deliver after StartBlocking")
+	}
+	if got != "two" {
+		t.Fatalf("after StartBlocking got %q", got)
+	}
+	if n := recv2.Stats().Get("poll.tcp"); n != polled {
+		t.Errorf("tcp polled %d times after StartBlocking", n-polled)
 	}
 }
 

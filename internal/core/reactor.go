@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -65,9 +66,19 @@ type moduleReadiness struct {
 	mu        sync.Mutex
 	fds       map[int]struct{}
 	suspended bool
+
+	// drain is non-nil while the method is on blocking detection: edges go
+	// to its wake channel instead of the readiness bitmap.
+	drain atomic.Pointer[drainer]
 }
 
-func (r *moduleReadiness) notify() { atomicOr(&r.c.ready, r.ms.readyBit) }
+func (r *moduleReadiness) notify() {
+	if d := r.drain.Load(); d != nil {
+		d.signal()
+	} else {
+		atomicOr(&r.c.ready, r.ms.readyBit)
+	}
+}
 
 func (r *moduleReadiness) Add(fd int) error {
 	r.mu.Lock()
@@ -121,13 +132,76 @@ func (r *moduleReadiness) resume() {
 	}
 }
 
+// drainer is the goroutine behind blocking detection (the paper's
+// blocking-thread refinement): the method's readiness edges wake it instead
+// of the polling loop, and it drains the module with Poll. The wake channel
+// holds one token, so an edge that fires mid-drain costs one more pass.
+type drainer struct {
+	wake chan struct{}
+	done chan struct{}
+}
+
+func (d *drainer) signal() {
+	select {
+	case d.wake <- struct{}{}:
+	default:
+	}
+}
+
+// startBlocking moves a reactor-attached method out of the polling loop onto
+// a drain goroutine. Called with pollMu held, or before the module is
+// published, so no poll pass is inside the module's Poll when the drain
+// goroutine takes it over.
+func (c *Context) startBlocking(ms *moduleState) error {
+	if ms.blocking {
+		return nil
+	}
+	if !ms.reactive {
+		return fmt.Errorf("core: method %q does not support blocking detection", ms.name)
+	}
+	if ms.hot > 0 {
+		// A hot window suspended the kernel watch the drainer relies on.
+		ms.hot = 0
+		ms.rd.resume()
+	}
+	d := &drainer{wake: make(chan struct{}, 1), done: make(chan struct{})}
+	d.signal() // drain whatever arrived before the switch
+	ms.rd.drain.Store(d)
+	ms.blocking = true
+	go func() {
+		defer close(d.done)
+		for range d.wake {
+			if ms.rd.drain.Load() != d {
+				return // stopBlocking
+			}
+			if _, err := ms.module.Poll(); err != nil {
+				ms.pollErrs.Inc()
+				c.errlog(fmt.Errorf("core: context %d: draining %s: %w", c.id, ms.name, err))
+			}
+		}
+	}()
+	return nil
+}
+
+// stopBlocking ends a method's drain goroutine, if it has one, and waits for
+// it to exit. It must precede closing the module.
+func (ms *moduleState) stopBlocking() {
+	if ms.rd == nil {
+		return
+	}
+	if d := ms.rd.drain.Swap(nil); d != nil {
+		d.signal()
+		<-d.done
+	}
+}
+
 // attachReactive offers the reactor to a freshly initialized module. On
 // success the module's Polls become readiness-driven; on any refusal
 // (ErrNotReactive, no fds, bitmap full) the module simply stays on the
 // portable polling path. Called before the module joins c.modules, so the
 // reactive flag is published by the same lock that publishes the module.
 func (c *Context) attachReactive(ms *moduleState) {
-	if c.rx == nil || ms.blocking {
+	if c.rx == nil {
 		return
 	}
 	rm, ok := ms.module.(transport.Reactive)

@@ -29,7 +29,6 @@ const (
 	handlerRegister = "names.register"
 	handlerResolve  = "names.resolve"
 	handlerList     = "names.list"
-	handlerReply    = "names.reply"
 )
 
 // Reply status codes.
@@ -162,15 +161,16 @@ func (s *Server) respond(reply *core.Startpoint, seq uint32, status byte, fill f
 	if fill != nil {
 		fill(out)
 	}
-	_ = reply.RSR(handlerReply, out)
+	_ = reply.RSR("", out) // the requesting client's reply endpoint
 	reply.Close()
 }
 
-// Client talks to a name server from another context.
+// Client talks to a name server from another context. Replies arrive at the
+// client's own endpoint, so any number of clients can share a context.
 type Client struct {
 	ctx     *core.Context
 	server  *core.Startpoint
-	ep      *core.Endpoint
+	ep      *core.Endpoint // reply endpoint
 	timeout time.Duration
 
 	mu      sync.Mutex
@@ -187,7 +187,7 @@ func NewClient(ctx *core.Context, server *core.Startpoint) *Client {
 		timeout: 10 * time.Second,
 		replies: make(map[uint32]*buffer.Buffer),
 	}
-	ctx.RegisterHandler(handlerReply, func(ep *core.Endpoint, b *buffer.Buffer) {
+	c.ep = ctx.NewEndpoint(core.WithHandler(func(ep *core.Endpoint, b *buffer.Buffer) {
 		seq := b.Uint32()
 		if b.Err() != nil {
 			return
@@ -198,8 +198,7 @@ func NewClient(ctx *core.Context, server *core.Startpoint) *Client {
 		// bytes or a later send scribbles over it.
 		c.replies[seq] = b.Clone()
 		c.mu.Unlock()
-	})
-	c.ep = ctx.NewEndpoint()
+	}))
 	return c
 }
 

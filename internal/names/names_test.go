@@ -96,6 +96,35 @@ func TestDuplicateRegistration(t *testing.T) {
 	}
 }
 
+// TestTwoClientsOneContext: each client gets its own replies. Two clients
+// in one context share the context's handler table, so replies routed by a
+// context-wide handler name (and sequence numbers that restart at 1 in every
+// client) would let the second client take over the first one's replies.
+func TestTwoClientsOneContext(t *testing.T) {
+	m, srv, clients := testWorld(t, 2)
+	a := clients[0]
+	sp, err := core.TransferStartpoint(srv.Startpoint(), m.Context(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := names.NewClient(m.Context(1), sp)
+	b.SetTimeout(5 * time.Second)
+
+	ep := m.Context(1).NewEndpoint(core.WithHandler(func(*core.Endpoint, *buffer.Buffer) {}))
+	if err := a.Register("x", ep.NewStartpoint()); err != nil {
+		t.Fatalf("first client's Register: %v", err)
+	}
+	if _, err := b.Resolve("missing"); !errors.Is(err, names.ErrNotFound) {
+		t.Fatalf("second client's Resolve(missing) = %v, want names.ErrNotFound", err)
+	}
+	if _, err := b.Resolve("x"); err != nil {
+		t.Fatalf("second client's Resolve(x): %v", err)
+	}
+	if _, err := a.Resolve("x"); err != nil {
+		t.Fatalf("first client's Resolve(x): %v", err)
+	}
+}
+
 func TestList(t *testing.T) {
 	m, _, clients := testWorld(t, 2)
 	c := clients[0]

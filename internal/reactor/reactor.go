@@ -14,13 +14,13 @@
 // of how many expensive methods are enabled.
 //
 // Edge-triggered registration is deliberate. The reactor goroutine never
-// reads the sockets itself (delivery stays on the polling goroutine, where
-// the paper's detection semantics live); with level-triggered events the
-// waiting goroutine would spin on a socket it does not drain. Edge
-// triggering makes the contract with modules explicit: after a readiness
-// notification, the module's next Poll must consume everything pending —
-// its final read must observe "would block" — or the remainder is
-// announced only when the peer sends again.
+// reads the sockets itself (delivery stays in the module's Poll, called by
+// the polling goroutine or a blocking method's drain goroutine); with
+// level-triggered events the waiting goroutine would spin on a socket it
+// does not drain. Edge triggering makes the contract with modules explicit:
+// after a readiness notification, the module's next Poll must consume
+// everything pending — its final read must observe "would block" — or the
+// remainder is announced only when the peer sends again.
 //
 // The reactor is a Linux fast path, not a portability layer: Supported()
 // reports false elsewhere and New returns ErrUnsupported, leaving every

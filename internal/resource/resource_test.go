@@ -7,7 +7,10 @@ import (
 	"testing/quick"
 
 	"nexus/internal/core"
+	"nexus/internal/reactor"
 	"nexus/internal/transport"
+	_ "nexus/internal/transport/local"
+	_ "nexus/internal/transport/udp"
 )
 
 func TestParseSpecBasic(t *testing.T) {
@@ -208,5 +211,27 @@ func TestDatabaseIgnoresCommentsAndBlank(t *testing.T) {
 	}
 	if !strings.Contains(sampleDB, "#") {
 		t.Skip("sanity")
+	}
+}
+
+// TestBlockingSpecBuildsContext: a spec that asks for blocking detection on a
+// reactor-attached method yields a working context.
+func TestBlockingSpecBuildsContext(t *testing.T) {
+	if !reactor.Supported() {
+		t.Skip("blocking detection needs the reactor")
+	}
+	methods, err := ParseSpec("udp:loss=0.01:blocking=true")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := core.NewContext(core.Options{Methods: methods})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for _, mi := range c.Methods() {
+		if mi.Name == "udp" && !mi.Blocking {
+			t.Error("udp not on blocking detection")
+		}
 	}
 }

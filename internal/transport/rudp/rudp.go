@@ -353,16 +353,6 @@ func (m *Module) AttachReactor(r transport.Readiness) error {
 	return nil
 }
 
-// DetachReactor implements transport.Reactive.
-func (m *Module) DetachReactor() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.rdy != nil {
-		m.rdy.Remove(m.fd)
-		m.rdy = nil
-	}
-}
-
 // ackDue is a delayed cumulative acknowledgement awaiting flush.
 type ackDue struct {
 	to      *net.UDPAddr

@@ -201,13 +201,6 @@ func (m *Module) AttachReactor(r transport.Readiness) error {
 	return transport.ErrNotReactive
 }
 
-// DetachReactor implements transport.Reactive by delegation.
-func (m *Module) DetachReactor() {
-	if ir, ok := m.inner.(transport.Reactive); ok {
-		ir.DetachReactor()
-	}
-}
-
 // Close closes the inner method.
 func (m *Module) Close() error { return m.inner.Close() }
 
@@ -247,5 +240,5 @@ func (c *conn) Send(frame []byte) error {
 	}
 	return c.inner.Send(c.m.seal(frame))
 }
-func (c *conn) Method() string          { return Name }
-func (c *conn) Close() error            { return c.inner.Close() }
+func (c *conn) Method() string { return Name }
+func (c *conn) Close() error   { return c.inner.Close() }

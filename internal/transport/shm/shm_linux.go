@@ -414,16 +414,6 @@ func (m *Module) AttachReactor(r transport.Readiness) error {
 	return nil
 }
 
-// DetachReactor implements transport.Reactive.
-func (m *Module) DetachReactor() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.rd != nil {
-		m.rd.Remove(m.rfd)
-		m.rd = nil
-	}
-}
-
 // Poll drains the control FIFO (attach announcements, doorbell bytes) and
 // every segment's inbound ring, delivering frames zero-copy out of shared
 // memory. After spin consecutive empty passes it arms the doorbells and

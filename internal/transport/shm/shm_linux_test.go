@@ -233,7 +233,7 @@ func waitReadable(fd int, d time.Duration) bool {
 }
 
 // TestReactorAttach: the module registers exactly its FIFO read fd and
-// removes it on detach and close.
+// removes it on Close, before the fd is closed.
 func TestReactorAttach(t *testing.T) {
 	recv, _, _, _ := newPair(t, nil, nil)
 	fr := &fakeReadiness{}
@@ -248,9 +248,12 @@ func TestReactorAttach(t *testing.T) {
 	if len(fr.added) != 1 || fr.added[0] != recv.rfd {
 		t.Fatalf("registered fds %v, want [%d]", fr.added, recv.rfd)
 	}
-	rm.DetachReactor()
-	if len(fr.removed) != 1 || fr.removed[0] != recv.rfd {
-		t.Fatalf("removed fds %v, want [%d]", fr.removed, recv.rfd)
+	rfd := recv.rfd
+	if err := recv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if len(fr.removed) != 1 || fr.removed[0] != rfd {
+		t.Fatalf("removed fds %v, want [%d]", fr.removed, rfd)
 	}
 }
 

@@ -3,16 +3,12 @@
 // TCP is the paper's "expensive but universal" method: it reaches any
 // context with IP connectivity, but detecting inbound traffic requires a
 // select-like readiness scan whose cost dwarfs that of specialized methods.
-// This module reproduces both detection strategies discussed in the paper:
-//
-//   - poll mode (default): Poll performs a non-blocking readiness check on
-//     every inbound connection (a read with an immediate deadline — the Go
-//     equivalent of select). The per-poll cost grows with connection count
-//     and is orders of magnitude more expensive than an inproc poll, which is
-//     exactly the asymmetry that motivates skip_poll.
-//   - blocking mode: a goroutine per connection blocks in read and delivers
-//     frames directly to the sink (the paper's AIX 4.1 blocking-thread
-//     refinement); Poll then has nothing to do.
+// Poll performs a non-blocking read on every inbound connection (the Go
+// equivalent of select). Its cost grows with connection count and dwarfs an
+// inproc poll, exactly the asymmetry that motivates skip_poll. Once
+// reactor-attached, the module is polled only when a connection is readable;
+// the paper's AIX 4.1 blocking-thread refinement is the core's blocking
+// detection on top of the reactor, not a mode of this module.
 package tcp
 
 import (
@@ -45,7 +41,6 @@ type Module struct {
 	sndbuf     int
 	rcvbuf     int
 	maxPending int
-	blocking   bool
 
 	mu       sync.Mutex
 	env      transport.Env
@@ -56,7 +51,6 @@ type Module struct {
 	inited   bool
 	closed   bool
 	acceptWG sync.WaitGroup
-	readWG   sync.WaitGroup
 }
 
 // New returns an uninitialized TCP module. Recognized parameters:
@@ -68,7 +62,6 @@ type Module struct {
 //	maxpending — per-connection cap on data frames queued behind an
 //	             in-flight write, in bytes (default 8 MiB; -1 = unbounded).
 //	             Control-class frames are never bounded.
-//	mode       — "poll" (default) or "block"
 func New(p transport.Params) *Module {
 	if p == nil {
 		p = transport.Params{}
@@ -80,7 +73,6 @@ func New(p transport.Params) *Module {
 		sndbuf:     p.Int("sndbuf", 0),
 		rcvbuf:     p.Int("rcvbuf", 0),
 		maxPending: p.Int("maxpending", 8<<20),
-		blocking:   p.Str("mode", "poll") == "block",
 	}
 }
 
@@ -132,12 +124,7 @@ func (m *Module) acceptLoop(ln net.Listener) {
 			// not lost.
 			ic.watch(m.rdy)
 		}
-		blocking, sink := m.blocking, m.env.Sink
 		m.mu.Unlock()
-		if blocking {
-			m.readWG.Add(1)
-			go m.blockingReader(ic, sink)
-		}
 	}
 }
 
@@ -152,20 +139,6 @@ func (m *Module) tune(c net.Conn) {
 	}
 	if m.rcvbuf > 0 {
 		_ = tc.SetReadBuffer(m.rcvbuf)
-	}
-}
-
-func (m *Module) blockingReader(ic *inConn, sink transport.Sink) {
-	defer m.readWG.Done()
-	sr := wire.NewStreamReader(ic.c)
-	for {
-		frame, err := sr.Next()
-		if err != nil {
-			ic.markDead()
-			return
-		}
-		sink.Deliver(frame)
-		bufpool.Put(frame) // Deliver borrows; the frame is ours to recycle
 	}
 }
 
@@ -221,8 +194,7 @@ func (m *Module) Dial(remote transport.Descriptor) (transport.Conn, error) {
 // fire-hosing peer cannot monopolize the polling loop. A connection that
 // consumed bytes without completing a frame — a large frame still streaming
 // in — counts as one unit of activity, so activity-driven pollers keep
-// probing instead of treating the pass as idle. In blocking mode Poll
-// returns immediately.
+// probing instead of treating the pass as idle.
 func (m *Module) Poll() (int, error) {
 	m.mu.Lock()
 	if !m.inited {
@@ -232,10 +204,6 @@ func (m *Module) Poll() (int, error) {
 	if m.closed {
 		m.mu.Unlock()
 		return 0, transport.ErrClosed
-	}
-	if m.blocking {
-		m.mu.Unlock()
-		return 0, nil
 	}
 	conns := make([]*inConn, len(m.inbound))
 	copy(conns, m.inbound)
@@ -281,8 +249,7 @@ func (m *Module) reap() {
 // AttachReactor implements transport.Reactive: every inbound connection's fd
 // joins the reactor's watch set (the accept loop keeps the set current), and
 // Poll switches to drain-to-empty semantics. The listener itself needs no
-// registration — accepts happen on a dedicated blocked goroutine. Blocking
-// mode reports ErrNotReactive: detection already costs no polling there.
+// registration — accepts happen on a dedicated blocked goroutine.
 func (m *Module) AttachReactor(r transport.Readiness) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -292,27 +259,11 @@ func (m *Module) AttachReactor(r transport.Readiness) error {
 	if m.closed {
 		return transport.ErrClosed
 	}
-	if m.blocking {
-		return transport.ErrNotReactive
-	}
 	for _, ic := range m.inbound {
 		ic.watch(r)
 	}
 	m.rdy = r
 	return nil
-}
-
-// DetachReactor implements transport.Reactive.
-func (m *Module) DetachReactor() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.rdy == nil {
-		return
-	}
-	for _, ic := range m.inbound {
-		ic.unwatch(m.rdy)
-	}
-	m.rdy = nil
 }
 
 // MaxMessage implements transport.SizeLimiter: a stream carries any legal
@@ -339,39 +290,6 @@ func (m *Module) TransportStats() map[string]uint64 {
 // PollCostHint implements transport.CostHinter: a readiness scan costs on the
 // order of a system call per connection, far above an in-memory queue check.
 func (m *Module) PollCostHint() time.Duration { return 100 * time.Microsecond }
-
-// StartBlocking implements transport.Blocker: switches inbound detection to
-// per-connection blocked reader goroutines. Connections accepted so far get
-// readers; subsequent accepts start theirs automatically.
-func (m *Module) StartBlocking() error {
-	m.mu.Lock()
-	if !m.inited {
-		m.mu.Unlock()
-		return transport.ErrNotInitialized
-	}
-	if m.blocking {
-		m.mu.Unlock()
-		return nil
-	}
-	m.blocking = true
-	conns := make([]*inConn, len(m.inbound))
-	copy(conns, m.inbound)
-	sink := m.env.Sink
-	m.mu.Unlock()
-	for _, ic := range conns {
-		m.readWG.Add(1)
-		go m.blockingReader(ic, sink)
-	}
-	return nil
-}
-
-// StopBlocking implements transport.Blocker. Readers exit when their
-// connections close; new inbound connections go back to poll mode.
-func (m *Module) StopBlocking() {
-	m.mu.Lock()
-	m.blocking = false
-	m.mu.Unlock()
-}
 
 // Close shuts the listener and all inbound connections down.
 func (m *Module) Close() error {
@@ -405,12 +323,10 @@ func (m *Module) Close() error {
 		oc.tearDown()
 	}
 	m.acceptWG.Wait()
-	m.readWG.Wait()
 	return nil
 }
 
-// inConn is an inbound connection with incremental frame-reassembly state for
-// poll mode.
+// inConn is an inbound connection with incremental frame-reassembly state.
 type inConn struct {
 	c net.Conn
 
@@ -421,12 +337,6 @@ type inConn struct {
 	fd      int
 	watched bool
 	isDead  bool
-}
-
-func (ic *inConn) markDead() {
-	ic.mu.Lock()
-	ic.isDead = true
-	ic.mu.Unlock()
 }
 
 func (ic *inConn) dead() bool {

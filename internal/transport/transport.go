@@ -11,8 +11,9 @@
 // encodes selection preference ("fastest first").
 //
 // In the original Nexus the module interface was a C function table; in Go it
-// is simply an interface, with optional capabilities (blocking detection,
-// poll-cost hints) discovered by interface assertion.
+// is simply an interface, with optional capabilities (readiness fds for the
+// reactor, poll-cost hints) discovered by interface assertion. Inbound
+// detection always goes through Module.Poll; the caller decides when.
 package transport
 
 import (
@@ -122,8 +123,8 @@ type Sink interface {
 	// borrows the slice for the duration of the call and must not retain it
 	// afterwards: the delivering module may recycle the frame's storage
 	// (bufpool) the moment Deliver returns. Deliver must be safe for
-	// concurrent use: a blocking-mode module calls it from its own
-	// goroutine.
+	// concurrent use: different modules are polled on different goroutines
+	// (the polling loop, a blocking method's drain goroutine).
 	Deliver(frame []byte)
 }
 
@@ -200,15 +201,6 @@ type Module interface {
 	Close() error
 }
 
-// Blocker is an optional capability: a module that can detect inbound
-// communication with a blocked thread instead of polling (the paper's AIX 4.1
-// refinement). StartBlocking launches the module's own detection goroutine;
-// after it returns, the polling loop may skip this module entirely.
-type Blocker interface {
-	StartBlocking() error
-	StopBlocking()
-}
-
 // Readiness is the registration surface a readiness reactor offers a
 // Reactive module: the module adds the file descriptors whose readability
 // implies pending inbound work, and removes them as sockets come and go. A
@@ -235,11 +227,10 @@ type Readiness interface {
 // AttachReactor returns ErrNotReactive (or any error) when the module cannot
 // export pollable fds in its current configuration — for example a wrapper
 // whose inner method is memory-backed — and the caller keeps the module on
-// the portable polling path. DetachReactor removes every registered fd and
-// returns the module to pure polling.
+// the portable polling path. An attached module stays attached until Close,
+// which removes its fds before closing its sockets.
 type Reactive interface {
 	AttachReactor(r Readiness) error
-	DetachReactor()
 }
 
 // BatchSender is an optional Conn capability: SendBatch transmits a sequence

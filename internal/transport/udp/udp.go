@@ -235,16 +235,6 @@ func (m *Module) AttachReactor(r transport.Readiness) error {
 	return nil
 }
 
-// DetachReactor implements transport.Reactive.
-func (m *Module) DetachReactor() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.rd != nil {
-		m.rd.Remove(m.fd)
-		m.rd = nil
-	}
-}
-
 // Poll drains queued datagrams in recvmmsg batches, delivering each frame
 // straight from its receive slot (the sink borrows it for the call). The
 // fallback path bounds one pass at maxPollDatagrams; reactor-attached

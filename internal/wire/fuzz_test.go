@@ -15,7 +15,7 @@ func FuzzDecode(f *testing.F) {
 	// Extended-header seeds: a traced frame, and near-miss corruptions of
 	// its flags byte, steering the fuzzer into the versionExt parse paths.
 	traced := &Frame{Type: TypeRSR, Flags: FlagTrace,
-		Trace: [16]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16},
+		Trace:   [16]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16},
 		Handler: "traced", Payload: []byte{0xAB}}
 	f.Add(traced.Encode())
 	badFlags := traced.Encode()
@@ -87,9 +87,9 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 1, 2, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		sr := NewStreamReader(bytes.NewReader(data))
+		r := bytes.NewReader(data)
 		for i := 0; i < 4; i++ {
-			frame, err := sr.Next()
+			frame, err := ReadFrame(r)
 			if err != nil {
 				return
 			}

@@ -10,7 +10,6 @@
 package wire
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -676,10 +675,8 @@ func WriteFrame(w io.Writer, encoded []byte) error {
 }
 
 // ReadFrame reads one length-prefixed encoded frame from a stream transport.
-// The returned slice is backed by pooled storage: a caller that fully
-// controls the frame's lifetime (e.g. a blocking reader that delivers and
-// moves on) should hand it back with bufpool.Put; a caller that retains the
-// frame simply keeps it and lets the garbage collector reclaim it.
+// The returned slice is backed by pooled storage; a caller done with it may
+// hand it back with bufpool.Put.
 func ReadFrame(r io.Reader) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -695,21 +692,4 @@ func ReadFrame(r io.Reader) ([]byte, error) {
 		return nil, err
 	}
 	return p, nil
-}
-
-// StreamReader incrementally reads length-prefixed frames from a buffered
-// stream, for use by poll-driven stream transports.
-type StreamReader struct {
-	br *bufio.Reader
-}
-
-// NewStreamReader wraps r.
-func NewStreamReader(r io.Reader) *StreamReader {
-	return &StreamReader{br: bufio.NewReader(r)}
-}
-
-// Next reads the next frame. It blocks until a full frame arrives, the
-// stream errors, or EOF.
-func (s *StreamReader) Next() ([]byte, error) {
-	return ReadFrame(s.br)
 }

@@ -107,9 +107,8 @@ func TestStreamWriteRead(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sr := NewStreamReader(&buf)
 	for i, want := range frames {
-		got, err := sr.Next()
+		got, err := ReadFrame(&buf)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
@@ -117,7 +116,7 @@ func TestStreamWriteRead(t *testing.T) {
 			t.Errorf("frame %d mismatch", i)
 		}
 	}
-	if _, err := sr.Next(); err != io.EOF {
+	if _, err := ReadFrame(&buf); err != io.EOF {
 		t.Errorf("after all frames: %v, want EOF", err)
 	}
 }
