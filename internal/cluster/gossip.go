@@ -113,7 +113,8 @@ type Node struct {
 	selfEnc    []byte // last advertised-table encoding published under self.Seq
 	appliedGen uint64 // registry generation applyRegistry last ran at
 	applied    map[transport.ContextID]appliedState
-	digestPos  int // rotating digest window cursor
+	perm       []int32 // peer-sampling permutation, reused across Steps
+	digestPos  int     // rotating digest window cursor
 	probeTick  int
 	failures   map[transport.ContextID]int
 	suspects   map[transport.ContextID]bool
@@ -248,11 +249,7 @@ func (n *Node) Leave() {
 	}
 	tomb := n.self
 	n.reg.Merge(tomb)
-	peers := n.livePeersLocked()
-	n.rng.Shuffle(len(peers), func(i, j int) { peers[i], peers[j] = peers[j], peers[i] })
-	if max := 2 * n.cfg.Fanout; len(peers) > max {
-		peers = peers[:max]
-	}
+	peers := n.samplePeersLocked(2 * n.cfg.Fanout)
 	targets := make([]*core.Startpoint, 0, len(peers))
 	for _, p := range peers {
 		targets = append(targets, n.startpointLocked(p.Origin, p.GossipEP, p.Table))
@@ -292,11 +289,7 @@ func (n *Node) Step() {
 		origin transport.ContextID
 		probe  bool
 	}
-	peers := n.livePeersLocked()
-	n.rng.Shuffle(len(peers), func(i, j int) { peers[i], peers[j] = peers[j], peers[i] })
-	if len(peers) > n.cfg.Fanout {
-		peers = peers[:n.cfg.Fanout]
-	}
+	peers := n.samplePeersLocked(n.cfg.Fanout)
 	digest, next := n.reg.Digest(n.digestPos, n.cfg.MaxDigest)
 	n.digestPos = next
 	self := n.self
@@ -314,9 +307,10 @@ func (n *Node) Step() {
 	// left to damage.
 	n.probeTick++
 	if n.probeTick%probeEvery == 0 {
-		var tombs []names.Record
-		for _, rec := range n.reg.Snapshot() {
-			if rec.Tombstone && rec.Origin != n.self.Origin && rec.GossipEP != 0 {
+		all := n.reg.Tombstones()
+		tombs := all[:0]
+		for _, rec := range all {
+			if rec.Origin != n.self.Origin && rec.GossipEP != 0 {
 				tombs = append(tombs, rec)
 			}
 		}
@@ -420,48 +414,47 @@ func (n *Node) refreshSelfLocked() {
 // live records refresh the peer's descriptor table (bumping the health
 // generation, so in-flight startpoints re-select), tombstones remove it (so
 // subsequent sends fail fast with ErrNoTable instead of using a stale
-// descriptor), and any change marks mesh routes for recomputation.
+// descriptor), and any change marks mesh routes for recomputation. Only the
+// records applied since the last call are visited.
 func (n *Node) applyRegistryLocked() {
-	gen := n.reg.Gen()
-	if gen != n.appliedGen {
-		n.appliedGen = gen
-		for _, rec := range n.reg.Snapshot() {
-			if rec.Origin == n.self.Origin {
-				continue
-			}
-			prev, seen := n.applied[rec.Origin]
-			if rec.Tombstone {
-				if seen && prev.tombstone {
-					continue
-				}
-				n.applied[rec.Origin] = appliedState{seq: rec.Seq, tombstone: true}
-				if !n.cfg.DisableAutoRegister {
-					n.ctx.RemovePeerTable(rec.Origin)
-				}
-				n.dropPeerLocked(rec.Origin)
-				n.routesDirty = true
-				n.ctx.Stats().Counter("cluster.applied.tombstone").Inc()
-				continue
-			}
-			h := rec.Hash()
-			if seen && !prev.tombstone && prev.seq == rec.Seq && prev.hash == h {
-				continue
-			}
-			n.applied[rec.Origin] = appliedState{seq: rec.Seq, hash: h}
-			if rec.Table != nil {
-				n.lastTables[rec.Origin] = rec.Table
-			}
-			delete(n.failures, rec.Origin)
-			delete(n.suspects, rec.Origin)
-			// Cached gossip startpoints to this peer rebind on next use, so a
-			// bootstrap-era binding cannot outlive the table it was built from.
-			n.closeSPsLocked(rec.Origin)
-			if !n.cfg.DisableAutoRegister && rec.Table != nil {
-				n.ctx.RefreshPeerTable(rec.Table)
-			}
-			n.routesDirty = true
-			n.ctx.Stats().Counter("cluster.applied.record").Inc()
+	var changed []names.Entry
+	changed, n.appliedGen = n.reg.AppendChanged(nil, n.appliedGen)
+	for _, e := range changed {
+		rec := e.Rec
+		if rec.Origin == n.self.Origin {
+			continue
 		}
+		prev, seen := n.applied[rec.Origin]
+		if rec.Tombstone {
+			if seen && prev.tombstone {
+				continue
+			}
+			n.applied[rec.Origin] = appliedState{seq: rec.Seq, tombstone: true}
+			if !n.cfg.DisableAutoRegister {
+				n.ctx.RemovePeerTable(rec.Origin)
+			}
+			n.dropPeerLocked(rec.Origin)
+			n.routesDirty = true
+			n.ctx.Stats().Counter("cluster.applied.tombstone").Inc()
+			continue
+		}
+		if seen && !prev.tombstone && prev.seq == rec.Seq && prev.hash == e.Hash {
+			continue
+		}
+		n.applied[rec.Origin] = appliedState{seq: rec.Seq, hash: e.Hash}
+		if rec.Table != nil {
+			n.lastTables[rec.Origin] = rec.Table
+		}
+		delete(n.failures, rec.Origin)
+		delete(n.suspects, rec.Origin)
+		// Cached gossip startpoints to this peer rebind on next use, so a
+		// bootstrap-era binding cannot outlive the table it was built from.
+		n.closeSPsLocked(rec.Origin)
+		if !n.cfg.DisableAutoRegister && rec.Table != nil {
+			n.ctx.RefreshPeerTable(rec.Table)
+		}
+		n.routesDirty = true
+		n.ctx.Stats().Counter("cluster.applied.record").Inc()
 	}
 	if n.cfg.Mesh && n.routesDirty {
 		n.routesDirty = false
@@ -486,16 +479,13 @@ func (n *Node) closeSPsLocked(origin transport.ContextID) {
 	}
 }
 
-// livePeersLocked lists live records other than self.
-func (n *Node) livePeersLocked() []names.Record {
-	live := n.reg.Live()
-	out := live[:0]
-	for _, rec := range live {
-		if rec.Origin != n.self.Origin {
-			out = append(out, rec)
-		}
-	}
-	return out
+// samplePeersLocked draws up to k live peers other than self: the records
+// shuffling the origin-ordered live list with the node's rng and keeping the
+// first k would give, drawn without copying that list.
+func (n *Node) samplePeersLocked(k int) []names.Record {
+	peers, perm := n.reg.SampleLive(make([]names.Record, 0, k), n.perm, n.self.Origin, k, n.rng)
+	n.perm = perm
+	return peers
 }
 
 // startpointLocked returns a cached Control-class startpoint for a peer's
@@ -509,7 +499,7 @@ func (n *Node) startpointLocked(ctx transport.ContextID, ep uint64, table *trans
 		return sp
 	}
 	var bind *transport.Table
-	if n.ctx.PeerTable(ctx) == nil {
+	if !n.ctx.HasPeerTable(ctx) {
 		bind = table
 	}
 	sp := n.ctx.NewStartpointTo(ctx, ep, bind)

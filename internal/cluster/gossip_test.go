@@ -2,11 +2,15 @@ package cluster
 
 import (
 	"errors"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"nexus/internal/buffer"
 	"nexus/internal/core"
 	"nexus/internal/names"
+	"nexus/internal/transport"
 )
 
 // dynMachine boots a dynamic (gossip-membership) machine and settles it.
@@ -206,4 +210,93 @@ func tombstoneOf(rec names.Record) names.Record {
 	rec.Tombstone = true
 	rec.Table = nil
 	return rec
+}
+
+// referenceSample is Step's peer draw written out in full: copy the live
+// records other than self, sort them by origin, shuffle the copy with the
+// node's rng and keep the first fanout.
+func referenceSample(live []names.Record, self transport.ContextID, fanout int, rng *rand.Rand) []transport.ContextID {
+	var peers []transport.ContextID
+	for _, rec := range live {
+		if rec.Origin != self {
+			peers = append(peers, rec.Origin)
+		}
+	}
+	sort.Slice(peers, func(i, j int) bool { return peers[i] < peers[j] })
+	rng.Shuffle(len(peers), func(i, j int) { peers[i], peers[j] = peers[j], peers[i] })
+	if len(peers) > fanout {
+		peers = peers[:fanout]
+	}
+	return peers
+}
+
+// TestStepSamplingMatchesShuffle pins Step's peer sampling to the reference
+// draw for fixed seeds: the peers its digests reach, the order they are
+// drawn in, and how much of the rng stream the draw consumes. A change here
+// would silently change every convergence round count.
+func TestStepSamplingMatchesShuffle(t *testing.T) {
+	specs := make([]NodeSpec, 9)
+	for i := range specs {
+		specs[i] = NodeSpec{Partition: "p", Methods: []core.MethodConfig{fastMPL()}}
+	}
+	m := dynMachine(t, Config{Nodes: specs, Dynamic: &NodeConfig{}}, 60)
+	// Two departures leave tombstones, so the live list is not the table.
+	m.Node(2).Leave()
+	m.Node(6).Leave()
+	if rounds, ok := m.Settle(60); !ok {
+		t.Fatalf("did not reconverge after leaves (%d rounds)", rounds)
+	}
+	digestsAt := func() []uint64 {
+		out := make([]uint64, m.Size())
+		for r := range out {
+			out[r] = m.Context(r).Stats().Get("cluster.digest.rx")
+		}
+		return out
+	}
+	for seed := int64(1); seed <= 5; seed++ {
+		for r := 0; r < m.Size(); r++ {
+			nd := m.Node(r)
+			if nd.Closed() {
+				continue
+			}
+			ref := rand.New(rand.NewSource(seed))
+			want := referenceSample(nd.Registry().Live(), nd.Context().ID(), nd.cfg.Fanout, ref)
+			refNext := ref.Int63()
+
+			before := digestsAt()
+			nd.mu.Lock()
+			nd.rng = rand.New(rand.NewSource(seed))
+			nd.probeTick = 0 // the next Step sends no resurrection probe
+			nd.mu.Unlock()
+			nd.Step()
+			drain(m.contexts)
+			var reached []transport.ContextID
+			for peer, n := range digestsAt() {
+				if n != before[peer] {
+					reached = append(reached, m.Context(peer).ID())
+				}
+			}
+			slices.Sort(reached)
+			nd.mu.Lock()
+			next := nd.rng.Int63()
+			nd.rng = rand.New(rand.NewSource(seed))
+			var drawn []transport.ContextID
+			for _, rec := range nd.samplePeersLocked(nd.cfg.Fanout) {
+				drawn = append(drawn, rec.Origin)
+			}
+			nd.mu.Unlock()
+
+			sorted := slices.Clone(want)
+			slices.Sort(sorted)
+			if !slices.Equal(reached, sorted) {
+				t.Errorf("seed %d rank %d: Step reached %v, reference draws %v", seed, r, reached, want)
+			}
+			if !slices.Equal(drawn, want) {
+				t.Errorf("seed %d rank %d: drew %v, reference draws %v", seed, r, drawn, want)
+			}
+			if next != refNext {
+				t.Errorf("seed %d rank %d: Step consumed a different share of the rng stream", seed, r)
+			}
+		}
+	}
 }

@@ -645,6 +645,15 @@ func (c *Context) PeerTable(id transport.ContextID) *transport.Table {
 	return nil
 }
 
+// HasPeerTable reports whether a table is registered for a context, without
+// the copy PeerTable makes.
+func (c *Context) HasPeerTable(id transport.ContextID) bool {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	_, ok := c.peerTables[id]
+	return ok
+}
+
 // dispatch decodes an inbound frame and routes it to a handler (or onward,
 // if this context is a forwarder). dispatch borrows the frame: the caller
 // (the delivering module, or a local send) may recycle it as soon as

@@ -166,12 +166,12 @@ func TestPeerTableAccessors(t *testing.T) {
 	tag := "cov-peer"
 	a := newCtx(t, tag, "", inprocCfg())
 	b := newCtx(t, tag, "", inprocCfg())
-	if a.PeerTable(b.ID()) != nil {
-		t.Error("unregistered peer table non-nil")
+	if a.PeerTable(b.ID()) != nil || a.HasPeerTable(b.ID()) {
+		t.Error("unregistered peer table reported")
 	}
 	a.RegisterPeerTable(b.AdvertisedTable())
 	tab := a.PeerTable(b.ID())
-	if tab == nil || tab.Len() == 0 {
+	if tab == nil || tab.Len() == 0 || !a.HasPeerTable(b.ID()) {
 		t.Fatal("registered peer table missing")
 	}
 	// The returned table is a copy.
@@ -181,4 +181,8 @@ func TestPeerTableAccessors(t *testing.T) {
 	}
 	// Registering an empty table is a no-op, not a panic.
 	a.RegisterPeerTable(transport.NewTable())
+	a.RemovePeerTable(b.ID())
+	if a.HasPeerTable(b.ID()) {
+		t.Error("removed peer table still reported")
+	}
 }

@@ -2,10 +2,12 @@ package names
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"hash/fnv"
 	"math"
-	"sort"
+	"math/rand"
+	"slices"
 	"sync"
 
 	"nexus/internal/buffer"
@@ -97,25 +99,6 @@ func decodeRecord(b *buffer.Buffer) (Record, error) {
 	}
 	return r, nil
 }
-
-// canonical returns the record's canonical encoding.
-func (r Record) canonical() []byte {
-	b := buffer.New(128)
-	r.encode(b)
-	return b.Bytes()
-}
-
-// hash64 is an FNV-1a digest of the record's canonical encoding, carried in
-// digest entries so peers can detect same-sequence content divergence.
-func (r Record) hash64() uint64 {
-	h := fnv.New64a()
-	h.Write(r.canonical())
-	return h.Sum64()
-}
-
-// Hash exposes the record's content hash, letting agents detect that an
-// applied record changed without holding its previous encoding.
-func (r Record) Hash() uint64 { return r.hash64() }
 
 // DigestEntry summarizes one record for an anti-entropy exchange: enough for
 // the receiver to decide newer/older/divergent without shipping the table.
@@ -220,14 +203,22 @@ func DecodeRecords(b *buffer.Buffer) ([]Record, error) {
 }
 
 // stored is a registry entry with its canonical encoding and content hash
-// cached at merge time, so digest rounds and tie-breaks never re-encode: at
-// thousand-context scale a bounded digest touches hundreds of records per
-// round, and recomputing FNV over a re-encoded table each time would dominate
-// the round's cost.
+// cached at merge time, so digest rounds, tie-breaks and Equal never
+// re-encode: at thousand-context scale a bounded digest touches hundreds of
+// records per round, and recomputing FNV over a re-encoded table each time
+// would dominate the round's cost. gen is the generation the entry was
+// applied at, which AppendChanged reads.
 type stored struct {
 	rec  Record
 	enc  []byte
 	hash uint64
+	gen  uint64
+}
+
+// Entry is a record as the registry holds it, with its stored content hash.
+type Entry struct {
+	Rec  Record
+	Hash uint64
 }
 
 // fpMix folds one record's identity into the registry fingerprint. XOR of
@@ -240,17 +231,35 @@ func fpMix(origin transport.ContextID, seq, hash uint64) uint64 {
 // Registry is the versioned membership/descriptor table a gossip agent
 // maintains: one Record per origin, merged under the deterministic order
 // described above. All methods are safe for concurrent use.
+//
+// No read sorts the table. The ordered index holds every record's digest
+// entry in origin order, kept sorted by inserting in place, which is cheap
+// because new origins are rare — one per context per cluster lifetime — so
+// digests are slices of it and delta scans never touch the record map. A
+// change log lets the agent fold in only what moved since its last round.
 type Registry struct {
-	mu   sync.RWMutex
-	recs map[transport.ContextID]stored
-	gen  uint64 // bumped on every applied change; cheap "did anything move" probe
-	fp   uint64 // order-independent content fingerprint (Fingerprint)
+	mu    sync.RWMutex
+	recs  map[transport.ContextID]stored
+	order []DigestEntry         // every record's (origin, seq, hash), ascending by origin
+	live  []transport.ContextID // origins of non-tombstone records, ascending
+	// log holds the origin of every applied Merge since generation logBase,
+	// oldest first: log[i] was applied at generation logBase+1+i. It is
+	// dropped once it outgrows the table; AppendChanged readers from before
+	// logBase then scan order instead.
+	log     []transport.ContextID
+	logBase uint64
+	scratch *buffer.Buffer // Merge's encoding of the incoming record
+	gen     uint64         // bumped on every applied change; cheap "did anything move" probe
+	fp      uint64         // order-independent content fingerprint (Fingerprint)
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{recs: make(map[transport.ContextID]stored)}
+	return &Registry{recs: make(map[transport.ContextID]stored), scratch: buffer.New(128)}
 }
+
+// byOrigin orders a digest entry against an origin, for binary searches.
+func byOrigin(e DigestEntry, o transport.ContextID) int { return cmp.Compare(e.Origin, o) }
 
 // Merge folds one record in and reports whether it changed the table. The
 // outcome is independent of delivery order, duplication, and interleaving
@@ -258,31 +267,50 @@ func NewRegistry() *Registry {
 // live record; and two same-kind records at the same Seq are ordered by
 // their canonical encodings, so every registry picks the same winner.
 func (r *Registry) Merge(rec Record) bool {
-	enc := rec.canonical()
-	h := fnv.New64a()
-	h.Write(enc)
-	hash := h.Sum64()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	cur, ok := r.recs[rec.Origin]
+	// A lower sequence, or a live record at a stored tombstone's sequence,
+	// loses without being encoded.
+	if ok && (rec.Seq < cur.rec.Seq || rec.Seq == cur.rec.Seq && cur.rec.Tombstone && !rec.Tombstone) {
+		return false
+	}
+	r.scratch.Reset()
+	rec.encode(r.scratch)
+	enc := r.scratch.Bytes()
 	if ok {
-		switch {
-		case rec.Seq < cur.rec.Seq:
+		if rec.Seq == cur.rec.Seq && rec.Tombstone == cur.rec.Tombstone && bytes.Compare(enc, cur.enc) <= 0 {
 			return false
-		case rec.Seq == cur.rec.Seq:
-			if rec.Tombstone != cur.rec.Tombstone {
-				if !rec.Tombstone {
-					return false
-				}
-			} else if bytes.Compare(enc, cur.enc) <= 0 {
-				return false
-			}
 		}
 		r.fp ^= fpMix(rec.Origin, cur.rec.Seq, cur.hash)
 	}
-	r.recs[rec.Origin] = stored{rec: rec, enc: enc, hash: hash}
-	r.fp ^= fpMix(rec.Origin, rec.Seq, hash)
+	enc = bytes.Clone(enc)
+	h := fnv.New64a()
+	h.Write(enc)
+	hash := h.Sum64()
 	r.gen++
+	r.recs[rec.Origin] = stored{rec: rec, enc: enc, hash: hash, gen: r.gen}
+	r.fp ^= fpMix(rec.Origin, rec.Seq, hash)
+
+	entry := DigestEntry{Origin: rec.Origin, Seq: rec.Seq, Hash: hash}
+	if i, found := slices.BinarySearchFunc(r.order, rec.Origin, byOrigin); found {
+		r.order[i] = entry
+	} else {
+		r.order = slices.Insert(r.order, i, entry)
+	}
+	switch wasLive := ok && !cur.rec.Tombstone; {
+	case !rec.Tombstone && !wasLive:
+		i, _ := slices.BinarySearch(r.live, rec.Origin)
+		r.live = slices.Insert(r.live, i, rec.Origin)
+	case rec.Tombstone && wasLive:
+		i, _ := slices.BinarySearch(r.live, rec.Origin)
+		r.live = slices.Delete(r.live, i, i+1)
+	}
+	r.log = append(r.log, rec.Origin)
+	if len(r.log) > len(r.recs) {
+		r.log = r.log[:0]
+		r.logBase = r.gen
+	}
 	return true
 }
 
@@ -336,13 +364,10 @@ func (r *Registry) Len() int {
 func (r *Registry) Live() []Record {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	out := make([]Record, 0, len(r.recs))
-	for _, s := range r.recs {
-		if !s.rec.Tombstone {
-			out = append(out, s.rec)
-		}
+	out := make([]Record, 0, len(r.live))
+	for _, o := range r.live {
+		out = append(out, r.recs[o].rec)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Origin < out[j].Origin })
 	return out
 }
 
@@ -350,38 +375,115 @@ func (r *Registry) Live() []Record {
 func (r *Registry) Snapshot() []Record {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	out := make([]Record, 0, len(r.recs))
-	for _, s := range r.recs {
-		out = append(out, s.rec)
+	out := make([]Record, 0, len(r.order))
+	for _, e := range r.order {
+		out = append(out, r.recs[e.Origin].rec)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Origin < out[j].Origin })
 	return out
 }
 
 // Equal reports whether two registries hold identical records — the
 // convergence predicate the gossip tests and FuzzGossipMerge assert.
 func (r *Registry) Equal(o *Registry) bool {
-	a, b := r.Snapshot(), o.Snapshot()
-	if len(a) != len(b) {
+	if r == o {
+		return true
+	}
+	// Collect one side's stored encodings first, so the two locks are never
+	// held together.
+	r.mu.RLock()
+	encs := make([][]byte, 0, len(r.order))
+	for _, e := range r.order {
+		encs = append(encs, r.recs[e.Origin].enc)
+	}
+	r.mu.RUnlock()
+	o.mu.RLock()
+	defer o.mu.RUnlock()
+	if len(encs) != len(o.order) {
 		return false
 	}
-	for i := range a {
-		if !bytes.Equal(a[i].canonical(), b[i].canonical()) {
+	for i, e := range o.order {
+		if !bytes.Equal(encs[i], o.recs[e.Origin].enc) {
 			return false
 		}
 	}
 	return true
 }
 
-// sortedOrigins returns every origin in ascending order. Callers hold no lock.
-func (r *Registry) sortedOrigins() []transport.ContextID {
+// AppendChanged appends every record applied after generation since, in
+// origin order and each with its stored hash, and returns the generation it
+// read at: passing that back as since on the next call yields exactly the
+// changes in between. Its cost follows the number of changes, not the table,
+// unless since predates the change log, in which case it scans the index.
+func (r *Registry) AppendChanged(dst []Entry, since uint64) ([]Entry, uint64) {
 	r.mu.RLock()
-	out := make([]transport.ContextID, 0, len(r.recs))
-	for o := range r.recs {
-		out = append(out, o)
+	defer r.mu.RUnlock()
+	if since >= r.gen {
+		return dst, r.gen
 	}
-	r.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	if since < r.logBase {
+		for _, e := range r.order {
+			if s := r.recs[e.Origin]; s.gen > since {
+				dst = append(dst, Entry{Rec: s.rec, Hash: s.hash})
+			}
+		}
+		return dst, r.gen
+	}
+	tail := r.log[since-r.logBase:]
+	from := len(dst)
+	dst = slices.Grow(dst, min(len(tail), len(r.recs)))
+	for i, o := range tail {
+		// An origin applied more than once is reported at its last apply.
+		if s := r.recs[o]; s.gen == since+1+uint64(i) {
+			dst = append(dst, Entry{Rec: s.rec, Hash: s.hash})
+		}
+	}
+	slices.SortFunc(dst[from:], func(a, b Entry) int { return cmp.Compare(a.Rec.Origin, b.Rec.Origin) })
+	return dst, r.gen
+}
+
+// SampleLive draws up to k live records other than exclude without copying
+// the live list. It numbers those records 0..n-1 in origin order, fills perm
+// with that identity and shuffles it with rng.Shuffle(n, ...), exactly as
+// shuffling the origin-ordered list would, so a seeded rng draws the same
+// records in the same order. The records at the first k positions are
+// appended to dst, and perm is returned for reuse.
+func (r *Registry) SampleLive(dst []Record, perm []int32, exclude transport.ContextID, k int, rng *rand.Rand) ([]Record, []int32) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	skip, excluded := slices.BinarySearch(r.live, exclude)
+	n := len(r.live)
+	if excluded {
+		n--
+	}
+	perm = perm[:0]
+	for i := 0; i < n; i++ {
+		perm = append(perm, int32(i))
+	}
+	rng.Shuffle(n, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
+	for _, rank := range perm[:min(k, n)] {
+		i := int(rank)
+		if excluded && i >= skip {
+			i++
+		}
+		dst = append(dst, r.recs[r.live[i]].rec)
+	}
+	return dst, perm
+}
+
+// Tombstones returns every tombstone record, sorted by origin. It looks up
+// only the tombstones: the origins missing from the live index.
+func (r *Registry) Tombstones() []Record {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	var out []Record
+	live := r.live
+	for _, e := range r.order {
+		if len(live) > 0 && live[0] == e.Origin {
+			live = live[1:]
+		} else {
+			out = append(out, r.recs[e.Origin].rec)
+		}
+	}
 	return out
 }
 
@@ -394,30 +496,22 @@ func (r *Registry) sortedOrigins() []transport.ContextID {
 // bounded at thousand-context scale: a round's digest never exceeds limit
 // entries no matter how large the cluster grows.
 func (r *Registry) Digest(start, limit int) (Digest, int) {
-	origins := r.sortedOrigins()
-	n := len(origins)
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	n := len(r.order)
 	if n == 0 {
 		return Digest{Lo: 0, Hi: math.MaxUint64}, 0
 	}
 	if limit <= 0 || limit >= n {
-		d := Digest{Lo: 0, Hi: math.MaxUint64, Entries: make([]DigestEntry, 0, n)}
-		r.mu.RLock()
-		for _, o := range origins {
-			s := r.recs[o]
-			d.Entries = append(d.Entries, DigestEntry{Origin: o, Seq: s.rec.Seq, Hash: s.hash})
-		}
-		r.mu.RUnlock()
-		return d, 0
+		return Digest{Lo: 0, Hi: math.MaxUint64, Entries: slices.Clone(r.order)}, 0
 	}
 	start %= n
 	d := Digest{Entries: make([]DigestEntry, 0, limit)}
-	r.mu.RLock()
-	for i := 0; i < limit; i++ {
-		o := origins[(start+i)%n]
-		s := r.recs[o]
-		d.Entries = append(d.Entries, DigestEntry{Origin: o, Seq: s.rec.Seq, Hash: s.hash})
+	if end := start + limit; end <= n {
+		d.Entries = append(d.Entries, r.order[start:end]...)
+	} else {
+		d.Entries = append(append(d.Entries, r.order[start:]...), r.order[:end-n]...)
 	}
-	r.mu.RUnlock()
 	d.Lo = d.Entries[0].Origin
 	d.Hi = d.Entries[len(d.Entries)-1].Origin
 	return d, (start + limit) % n
@@ -427,41 +521,110 @@ func (r *Registry) Digest(start, limit int) (Digest, int) {
 // hold inside the digest's window that the digest lacks, holds at a lower
 // sequence, or holds divergently at the same sequence (capped at maxDelta,
 // lowest origins first), plus the origins where the digest is ahead of us —
-// the want-list the requester answers with a push.
+// the want-list the requester answers with a push. Both come out in origin
+// order. A well-formed digest is one ascending run of origins, rotated at
+// most once where its window wraps, so it is merged against the index's
+// range inside the window in one linear pass, with no per-entry lookup; a
+// digest in any other order is sorted first.
 func (r *Registry) DeltaFor(d Digest, maxDelta int) (delta []Record, wants []transport.ContextID) {
-	known := make(map[transport.ContextID]DigestEntry, len(d.Entries))
-	for _, e := range d.Entries {
-		known[e.Origin] = e
+	low, high, ok := ascendingRuns(d.Entries)
+	if !ok {
+		// Malformed or hostile: any other order. Merge against a sorted
+		// copy that keeps the first entry for each origin.
+		low, high = slices.Clone(d.Entries), nil
+		slices.SortStableFunc(low, func(a, b DigestEntry) int { return cmp.Compare(a.Origin, b.Origin) })
+		low = slices.CompactFunc(low, func(a, b DigestEntry) bool { return a.Origin == b.Origin })
 	}
 	r.mu.RLock()
-	for o, s := range r.recs {
-		if !d.covers(o) {
-			continue
+	defer r.mu.RUnlock()
+	ship := func(o transport.ContextID) {
+		if maxDelta <= 0 || len(delta) < maxDelta {
+			delta = append(delta, r.recs[o].rec)
 		}
-		e, ok := known[o]
+	}
+	ours, theirs := d.window(r.order), spans{low, high}
+	for i, j := 0, 0; i < ours.len() || j < theirs.len(); {
 		switch {
-		case !ok, e.Seq < s.rec.Seq:
-			delta = append(delta, s.rec)
-		case e.Seq == s.rec.Seq && e.Hash != s.hash:
-			// Same version, different content: ship ours and ask for theirs;
-			// Merge's tie-break settles both sides on the same winner.
-			delta = append(delta, s.rec)
-			wants = append(wants, o)
+		case j == theirs.len() || i < ours.len() && ours.at(i).Origin < theirs.at(j).Origin:
+			ship(ours.at(i).Origin) // they lack it
+			i++
+		case i == ours.len() || theirs.at(j).Origin < ours.at(i).Origin:
+			e := theirs.at(j)
+			j++
+			if !d.covers(e.Origin) {
+				// Outside the window our record, if any, was not walked.
+				if i, ok := slices.BinarySearchFunc(r.order, e.Origin, byOrigin); ok && r.order[i].Seq >= e.Seq {
+					continue
+				}
+			}
+			wants = append(wants, e.Origin) // we lack it
+		default:
+			mine, e := ours.at(i), theirs.at(j)
+			i, j = i+1, j+1
+			switch {
+			case e.Seq < mine.Seq:
+				ship(mine.Origin)
+			case e.Seq > mine.Seq:
+				wants = append(wants, e.Origin)
+			case e.Hash != mine.Hash:
+				// Same version, different content: ship ours and ask for
+				// theirs; Merge's tie-break settles both sides on one winner.
+				ship(mine.Origin)
+				wants = append(wants, e.Origin)
+			}
 		}
 	}
-	for _, e := range d.Entries {
-		s, ok := r.recs[e.Origin]
-		if !ok || s.rec.Seq < e.Seq {
-			wants = append(wants, e.Origin)
-		}
-	}
-	r.mu.RUnlock()
-	sort.Slice(delta, func(i, j int) bool { return delta[i].Origin < delta[j].Origin })
-	if maxDelta > 0 && len(delta) > maxDelta {
-		delta = delta[:maxDelta]
-	}
-	sort.Slice(wants, func(i, j int) bool { return wants[i] < wants[j] })
 	return delta, wants
+}
+
+// spans reads two ascending runs of entries as one.
+type spans [2][]DigestEntry
+
+func (s spans) len() int { return len(s[0]) + len(s[1]) }
+
+func (s spans) at(i int) DigestEntry {
+	if i < len(s[0]) {
+		return s[0][i]
+	}
+	return s[1][i-len(s[0])]
+}
+
+// ascendingRuns splits digest entries into the strictly ascending runs a
+// well-formed digest is made of: the whole list, or — when its window wraps
+// past the top of the keyspace — its low and high ends. ok is false for any
+// other order.
+func ascendingRuns(es []DigestEntry) (low, high []DigestEntry, ok bool) {
+	cut := 0
+	for i := 1; i < len(es); i++ {
+		if es[i].Origin <= es[i-1].Origin {
+			if cut != 0 {
+				return nil, nil, false
+			}
+			cut = i
+		}
+	}
+	if cut == 0 {
+		return es, nil, true
+	}
+	if es[len(es)-1].Origin >= es[0].Origin {
+		return nil, nil, false
+	}
+	return es[cut:], es[:cut], true
+}
+
+// window returns the part of the ascending entries es inside the digest's
+// window, in ascending order: the low end of a wrapping window first, then
+// the rest.
+func (d Digest) window(es []DigestEntry) spans {
+	from, _ := slices.BinarySearchFunc(es, d.Lo, byOrigin)
+	to, found := slices.BinarySearchFunc(es, d.Hi, byOrigin)
+	if found {
+		to++
+	}
+	if d.Lo <= d.Hi {
+		return spans{es[from:to], nil}
+	}
+	return spans{es[:to], es[from:]}
 }
 
 // RecordsFor returns the records held for the requested origins (capped at
