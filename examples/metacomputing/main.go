@@ -1,7 +1,8 @@
 // Metacomputing: the full stack in one program — a heterogeneous machine
 // (instrument site, processing farm, remote viewer), a name service for
 // discovery, and the image-processing pipeline, with per-site communication
-// methods selected from descriptor tables.
+// methods selected from descriptor tables. It exits non-zero if the
+// pipeline checksum differs from ground truth or the viewer gets no frame.
 //
 //	go run ./examples/metacomputing
 package main
@@ -9,6 +10,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"math"
 	"time"
 
 	"nexus"
@@ -77,8 +79,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	want := nexus.PipelineExpected(cfg)
 	fmt.Printf("pipeline: %d tiles in %v, checksum %.6f (ground truth %.6f)\n",
-		st.Tiles, st.Elapsed.Round(time.Millisecond), st.Checksum, nexus.PipelineExpected(cfg))
+		st.Tiles, st.Elapsed.Round(time.Millisecond), st.Checksum, want)
 	for w := 1; w < len(st.PerWorker); w++ {
 		fmt.Printf("  farm worker %d processed %d tiles\n", w, st.PerWorker[w])
 	}
@@ -106,4 +109,11 @@ func main() {
 		viewer.Poll()
 	}
 	fmt.Printf("viewer: received %d summary frame(s) via %q\n", frames, display.Method())
+
+	if math.Abs(st.Checksum-want) > 1e-9*math.Abs(want) {
+		log.Fatalf("pipeline checksum %v differs from ground truth %v", st.Checksum, want)
+	}
+	if frames == 0 {
+		log.Fatal("viewer received no summary frame")
+	}
 }

@@ -180,10 +180,9 @@ type Context struct {
 	cDropUnkH    *metrics.Counter // rsr.dropped.unknown_handler
 	cDropNoRPC   *metrics.Counter // rsr.dropped.no_rpc_layer
 
-	// rpcIntake receives delivered frames carrying wire.FlagRPC (see
-	// rpc_hook.go); rpcState holds the attached RPC runtime opaquely.
-	rpcIntake atomic.Pointer[RPCIntakeFunc]
-	rpcState  atomic.Value
+	// rpc holds the attached RPC runtime and the intake that receives
+	// delivered frames carrying wire.FlagRPC (see rpc_hook.go).
+	rpc atomic.Pointer[rpcAttachment]
 
 	// Cluster-layer hooks (see cluster_hook.go): clusterState holds the
 	// attached membership agent opaquely; clusterView supplies the

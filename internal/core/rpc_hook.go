@@ -79,26 +79,34 @@ type RPCInbound struct {
 // the same constraints as a handler: it must not retain Payload.
 type RPCIntakeFunc func(in RPCInbound)
 
-// SetRPCIntake installs the hook that receives every delivered frame
-// carrying wire.FlagRPC, displacing ordinary handler dispatch for those
-// frames. Passing nil uninstalls it; RPC frames are then counted and
-// dropped.
-func (c *Context) SetRPCIntake(fn RPCIntakeFunc) {
-	if fn == nil {
-		c.rpcIntake.Store(nil)
-		return
-	}
-	c.rpcIntake.Store(&fn)
+// rpcAttachment pairs the attached RPC runtime with its frame intake, so
+// both are published by one atomic store.
+type rpcAttachment struct {
+	state  any // an *rpc.RPC, but core does not know the type
+	intake RPCIntakeFunc
 }
 
-// SetRPCState attaches the RPC runtime (an *rpc.RPC, but core does not know
-// the type) to the context, and RPCState retrieves it. This is how
-// package-level helpers like nexus.Call find the runtime from a startpoint's
-// owning context.
-func (c *Context) SetRPCState(v any) { c.rpcState.Store(v) }
+// AttachRPC attaches the RPC runtime and the intake hook that receives every
+// delivered frame carrying wire.FlagRPC, displacing ordinary handler
+// dispatch for those frames. A context takes one attachment: the first
+// caller wins, and every caller gets the winner's state back, so concurrent
+// attachers agree on one runtime and one intake.
+func (c *Context) AttachRPC(state any, intake RPCIntakeFunc) any {
+	if c.rpc.CompareAndSwap(nil, &rpcAttachment{state: state, intake: intake}) {
+		return state
+	}
+	return c.rpc.Load().state
+}
 
-// RPCState returns the value attached with SetRPCState (nil before any).
-func (c *Context) RPCState() any { return c.rpcState.Load() }
+// RPCState returns the runtime attached with AttachRPC (nil before any).
+// This is how package-level helpers like nexus.Call find the runtime from a
+// startpoint's owning context.
+func (c *Context) RPCState() any {
+	if a := c.rpc.Load(); a != nil {
+		return a.state
+	}
+	return nil
+}
 
 // NewTraceID draws a fresh trace/span id from the context's generator, for
 // subsystems (internal/rpc) that span several sends under one id.
@@ -125,14 +133,14 @@ func (c *Context) RegisterLatencies(name string, ss *obsv.StageSet) {
 // deliverRPC hands a frame carrying the RPC extension to the installed
 // intake. Runs bracketed by the dispatch gate, like any delivery.
 func (c *Context) deliverRPC(ms *moduleState, f *wire.Frame) {
-	fn := c.rpcIntake.Load()
-	if fn == nil {
+	a := c.rpc.Load()
+	if a == nil {
 		c.cDropNoRPC.Inc()
 		c.errlog(fmt.Errorf("core: context %d: rpc frame (call %d kind %d) but no rpc layer attached",
 			c.id, f.RPC.Call, f.RPC.Kind))
 		return
 	}
-	(*fn)(RPCInbound{
+	a.intake(RPCInbound{
 		Method:       msName(ms),
 		SrcContext:   f.SrcContext,
 		DestEndpoint: f.DestEndpoint,

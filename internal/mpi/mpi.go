@@ -265,13 +265,15 @@ func (c *Comm) Recv(src, tag int) (*Message, error) {
 	if tag < 0 && tag != AnyTag {
 		return nil, fmt.Errorf("mpi: negative tag %d is reserved", tag)
 	}
-	return c.recv(src, tag, c.world.timeout)
+	return c.recv(src, tag)
 }
 
-func (c *Comm) recv(src, tag int, timeout time.Duration) (*Message, error) {
+// recv is the one receive loop behind Recv, Wait and the collectives; it
+// accepts the negative tags collectives reserve.
+func (c *Comm) recv(src, tag int) (*Message, error) {
 	ib := c.world.inboxes[c.group[c.rank]]
 	ctx := c.Context()
-	deadline := time.Now().Add(timeout)
+	deadline := time.Now().Add(c.world.timeout)
 	for {
 		if p, ok := ib.take(c.id, src, tag); ok {
 			buf, err := buffer.FromBytes(p.data)
@@ -325,7 +327,7 @@ func (r *Request) Wait() (*Message, error) {
 	if r.done != nil {
 		return r.done, nil
 	}
-	m, err := r.comm.recv(r.src, r.tag, r.comm.world.timeout)
+	m, err := r.comm.recv(r.src, r.tag)
 	if err != nil {
 		return nil, err
 	}
@@ -352,34 +354,13 @@ func (c *Comm) Barrier() error {
 		if err := c.send(to, tag, nil); err != nil {
 			return err
 		}
-		if _, err := c.recvColl(from, tag); err != nil {
+		if _, err := c.recv(from, int(tag)); err != nil {
 			return err
 		}
 		round++
 	}
 	c.collSeq++
 	return nil
-}
-
-func (c *Comm) recvColl(src int, tag int32) (*Message, error) {
-	ib := c.world.inboxes[c.group[c.rank]]
-	ctx := c.Context()
-	deadline := time.Now().Add(c.world.timeout)
-	for {
-		if p, ok := ib.take(c.id, src, int(tag)); ok {
-			buf, err := buffer.FromBytes(p.data)
-			if err != nil {
-				return nil, err
-			}
-			return &Message{Src: int(p.src), Tag: int(p.tag), Buf: buf}, nil
-		}
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("%w (collective tag=%d comm=%d rank=%d)", ErrTimeout, tag, c.id, c.rank)
-		}
-		if ctx.Poll() == 0 {
-			runtime.Gosched()
-		}
-	}
 }
 
 // Bcast broadcasts the root's buffer to every rank, returning each rank's
@@ -402,7 +383,7 @@ func (c *Comm) Bcast(root int, b *buffer.Buffer) (*buffer.Buffer, error) {
 		b.Rewind()
 		return b, nil
 	}
-	m, err := c.recvColl(root, tag)
+	m, err := c.recv(root, int(tag))
 	if err != nil {
 		return nil, err
 	}
@@ -444,7 +425,7 @@ func (c *Comm) Reduce(root int, vals []float64, op Op) ([]float64, error) {
 		if r == root {
 			continue
 		}
-		m, err := c.recvColl(r, tag)
+		m, err := c.recv(r, int(tag))
 		if err != nil {
 			return nil, err
 		}
@@ -501,7 +482,7 @@ func (c *Comm) Gather(root int, vals []float64) ([][]float64, error) {
 		if r == root {
 			continue
 		}
-		m, err := c.recvColl(r, tag)
+		m, err := c.recv(r, int(tag))
 		if err != nil {
 			return nil, err
 		}
@@ -563,7 +544,7 @@ func (c *Comm) Scatter(root int, parts [][]float64) ([]float64, error) {
 		}
 		return append([]float64(nil), parts[root]...), nil
 	}
-	m, err := c.recvColl(root, tag)
+	m, err := c.recv(root, int(tag))
 	if err != nil {
 		return nil, err
 	}
@@ -597,7 +578,7 @@ func (c *Comm) Alltoall(parts [][]float64) ([][]float64, error) {
 		if r == c.rank {
 			continue
 		}
-		m, err := c.recvColl(r, tag)
+		m, err := c.recv(r, int(tag))
 		if err != nil {
 			return nil, err
 		}

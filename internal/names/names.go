@@ -5,11 +5,12 @@
 // The paper closes with "further work is also required on the
 // representation, discovery, and use of configuration data". This package is
 // that mechanism in its simplest useful form, and a demonstration of the
-// architecture eating its own dog food: the service's protocol is nothing
-// but RSRs, the names map to encoded startpoints (which carry their own
-// descriptor tables), and a resolved startpoint works immediately in the
-// resolving context because method selection re-runs there. Registering a
-// name therefore publishes not just *where* an endpoint is but *every way to
+// architecture eating its own dog food: the service is three methods on the
+// request/reply layer (internal/rpc), which itself is nothing but RSRs; the
+// names map to encoded startpoints (which carry their own descriptor
+// tables), and a resolved startpoint works immediately in the resolving
+// context because method selection re-runs there. Registering a name
+// therefore publishes not just *where* an endpoint is but *every way to
 // reach it*, and resolution composes with manual method control like any
 // other received startpoint.
 package names
@@ -17,21 +18,23 @@ package names
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 
 	"nexus/internal/buffer"
 	"nexus/internal/core"
+	"nexus/internal/rpc"
 )
 
-// Handler names used by the service protocol.
+// RPC method names used by the service protocol.
 const (
-	handlerRegister = "names.register"
-	handlerResolve  = "names.resolve"
-	handlerList     = "names.list"
+	methodRegister = "names.register"
+	methodResolve  = "names.resolve"
+	methodList     = "names.list"
 )
 
-// Reply status codes.
+// Reply status codes: every reply starts with one.
 const (
 	statusOK       = 0
 	statusNotFound = 1
@@ -52,8 +55,7 @@ var (
 
 // Server is a name service hosted in a context.
 type Server struct {
-	ctx *core.Context
-	ep  *core.Endpoint
+	ep *core.Endpoint
 
 	mu      sync.Mutex
 	entries map[string][]byte // name -> encoded startpoint
@@ -62,11 +64,11 @@ type Server struct {
 // NewServer installs a name service in the context and returns it. The
 // server answers requests whenever the hosting context polls.
 func NewServer(ctx *core.Context) *Server {
-	s := &Server{ctx: ctx, entries: make(map[string][]byte)}
-	ctx.RegisterHandler(handlerRegister, s.onRegister)
-	ctx.RegisterHandler(handlerResolve, s.onResolve)
-	ctx.RegisterHandler(handlerList, s.onList)
-	s.ep = ctx.NewEndpoint()
+	s := &Server{ep: ctx.NewEndpoint(), entries: make(map[string][]byte)}
+	r := rpc.Enable(ctx, core.RPCConfig{})
+	r.Register(methodRegister, s.onRegister)
+	r.Register(methodResolve, s.onResolve)
+	r.Register(methodList, s.onList)
 	return s
 }
 
@@ -80,63 +82,47 @@ func (s *Server) Len() int {
 	return len(s.entries)
 }
 
-// onRegister: [name string][seq][encoded reply sp][encoded target sp]
-func (s *Server) onRegister(ep *core.Endpoint, b *buffer.Buffer) {
-	name := b.String()
-	reply, seq, err := s.decodeReply(b)
-	if err != nil {
-		return
+// onRegister: [name string][encoded target sp] -> [status]
+func (s *Server) onRegister(req *rpc.Request, r *rpc.Responder) {
+	name := req.Payload.String()
+	target := req.Payload.BytesValue()
+	status := byte(statusNotFound)
+	if req.Payload.Err() == nil && name != "" {
+		s.mu.Lock()
+		if _, dup := s.entries[name]; dup {
+			status = statusExists
+		} else {
+			s.entries[name] = target
+			status = statusOK
+		}
+		s.mu.Unlock()
 	}
-	target := b.BytesValue()
-	if b.Err() != nil || name == "" {
-		s.respond(reply, seq, statusNotFound, nil)
-		return
-	}
-	s.mu.Lock()
-	_, dup := s.entries[name]
-	if !dup {
-		s.entries[name] = target
-	}
-	s.mu.Unlock()
-	if dup {
-		s.respond(reply, seq, statusExists, nil)
-		return
-	}
-	s.respond(reply, seq, statusOK, nil)
+	respond(r, status, nil)
 }
 
-// onResolve: [name string][seq][encoded reply sp]
-func (s *Server) onResolve(ep *core.Endpoint, b *buffer.Buffer) {
-	name := b.String()
-	reply, seq, err := s.decodeReply(b)
-	if err != nil {
-		return
-	}
+// onResolve: [name string] -> [status][encoded sp]
+func (s *Server) onResolve(req *rpc.Request, r *rpc.Responder) {
+	name := req.Payload.String()
 	s.mu.Lock()
 	enc, ok := s.entries[name]
 	s.mu.Unlock()
 	if !ok {
-		s.respond(reply, seq, statusNotFound, nil)
+		respond(r, statusNotFound, nil)
 		return
 	}
-	s.respond(reply, seq, statusOK, func(out *buffer.Buffer) {
-		out.PutBytes(enc)
-	})
+	respond(r, statusOK, func(out *buffer.Buffer) { out.PutBytes(enc) })
 }
 
-// onList: [seq][encoded reply sp]
-func (s *Server) onList(ep *core.Endpoint, b *buffer.Buffer) {
-	reply, seq, err := s.decodeReply(b)
-	if err != nil {
-		return
-	}
+// onList: [] -> [status][count][name...], names sorted
+func (s *Server) onList(_ *rpc.Request, r *rpc.Responder) {
 	s.mu.Lock()
 	names := make([]string, 0, len(s.entries))
 	for n := range s.entries {
 		names = append(names, n)
 	}
 	s.mu.Unlock()
-	s.respond(reply, seq, statusOK, func(out *buffer.Buffer) {
+	sort.Strings(names)
+	respond(r, statusOK, func(out *buffer.Buffer) {
 		out.PutUint32(uint32(len(names)))
 		for _, n := range names {
 			out.PutString(n)
@@ -144,62 +130,30 @@ func (s *Server) onList(ep *core.Endpoint, b *buffer.Buffer) {
 	})
 }
 
-// decodeReply unpacks the request's sequence number and reply startpoint.
-func (s *Server) decodeReply(b *buffer.Buffer) (*core.Startpoint, uint32, error) {
-	seq := b.Uint32()
-	sp, err := s.ctx.DecodeStartpoint(b)
-	if err != nil {
-		return nil, 0, err
-	}
-	return sp, seq, nil
-}
-
-func (s *Server) respond(reply *core.Startpoint, seq uint32, status byte, fill func(*buffer.Buffer)) {
+// respond completes a call with a status byte and an optional body.
+func respond(r *rpc.Responder, status byte, fill func(*buffer.Buffer)) {
 	out := buffer.New(64)
-	out.PutUint32(seq)
 	out.PutByte(status)
 	if fill != nil {
 		fill(out)
 	}
-	_ = reply.RSR("", out) // the requesting client's reply endpoint
-	reply.Close()
+	_ = r.Reply(out)
 }
 
-// Client talks to a name server from another context. Replies arrive at the
-// client's own endpoint, so any number of clients can share a context.
+// Client talks to a name server from another context. Requests are RPC
+// calls through the context's RPC runtime, which correlates replies by call
+// id, so any number of clients can share a context.
 type Client struct {
 	ctx     *core.Context
 	server  *core.Startpoint
-	ep      *core.Endpoint // reply endpoint
 	timeout time.Duration
-
-	mu      sync.Mutex
-	nextSeq uint32
-	replies map[uint32]*buffer.Buffer
 }
 
 // NewClient builds a client in ctx for the server reachable via the given
 // startpoint (typically obtained out of band or from a parent context).
 func NewClient(ctx *core.Context, server *core.Startpoint) *Client {
-	c := &Client{
-		ctx:     ctx,
-		server:  server,
-		timeout: 10 * time.Second,
-		replies: make(map[uint32]*buffer.Buffer),
-	}
-	c.ep = ctx.NewEndpoint(core.WithHandler(func(ep *core.Endpoint, b *buffer.Buffer) {
-		seq := b.Uint32()
-		if b.Err() != nil {
-			return
-		}
-		c.mu.Lock()
-		// The handler's buffer borrows the delivered frame, whose storage is
-		// recycled after the handler returns; the parked reply must own its
-		// bytes or a later send scribbles over it.
-		c.replies[seq] = b.Clone()
-		c.mu.Unlock()
-	}))
-	return c
+	rpc.Enable(ctx, core.RPCConfig{})
+	return &Client{ctx: ctx, server: server, timeout: 10 * time.Second}
 }
 
 // SetTimeout adjusts the per-request timeout.
@@ -209,12 +163,10 @@ func (c *Client) SetTimeout(d time.Duration) { c.timeout = d }
 func (c *Client) Register(name string, sp *core.Startpoint) error {
 	enc := buffer.New(256)
 	sp.Encode(enc)
-	encoded := enc.Encode() // keep the format tag: the resolver re-decodes it
-	reply, err := c.request(handlerRegister, func(b *buffer.Buffer) {
-		b.PutString(name)
-	}, func(b *buffer.Buffer) {
-		b.PutBytes(encoded)
-	})
+	req := buffer.New(512)
+	req.PutString(name)
+	req.PutBytes(enc.Encode()) // keep the format tag: the resolver re-decodes it
+	reply, err := c.request(methodRegister, req)
 	if err != nil {
 		return err
 	}
@@ -231,9 +183,9 @@ func (c *Client) Register(name string, sp *core.Startpoint) error {
 // Resolve returns a startpoint for the named link, usable immediately in the
 // client's context.
 func (c *Client) Resolve(name string) (*core.Startpoint, error) {
-	reply, err := c.request(handlerResolve, func(b *buffer.Buffer) {
-		b.PutString(name)
-	}, nil)
+	req := buffer.New(len(name) + 8)
+	req.PutString(name)
+	reply, err := c.request(methodResolve, req)
 	if err != nil {
 		return nil, err
 	}
@@ -251,9 +203,9 @@ func (c *Client) Resolve(name string) (*core.Startpoint, error) {
 	return c.ctx.DecodeStartpoint(dec)
 }
 
-// List returns all registered names.
+// List returns all registered names in sorted order.
 func (c *Client) List() ([]string, error) {
-	reply, err := c.request(handlerList, nil, nil)
+	reply, err := c.request(methodList, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -271,39 +223,15 @@ func (c *Client) List() ([]string, error) {
 	return out, nil
 }
 
-// request sends one RSR [pre][seq][reply sp][post] and polls for the reply.
-func (c *Client) request(handler string, pre, post func(*buffer.Buffer)) (*buffer.Buffer, error) {
-	c.mu.Lock()
-	c.nextSeq++
-	seq := c.nextSeq
-	c.mu.Unlock()
-
-	b := buffer.New(512)
-	if pre != nil {
-		pre(b)
-	}
-	b.PutUint32(seq)
-	c.ep.NewStartpoint().Encode(b)
-	if post != nil {
-		post(b)
-	}
-	if err := c.server.RSR(handler, b); err != nil {
+// request makes one call to the server and waits for its reply.
+func (c *Client) request(method string, req *buffer.Buffer) (*buffer.Buffer, error) {
+	f, err := rpc.Call(c.server, method, req, rpc.CallOptions{Timeout: c.timeout})
+	if err != nil {
 		return nil, err
 	}
-	deadline := time.Now().Add(c.timeout)
-	for {
-		c.mu.Lock()
-		reply, ok := c.replies[seq]
-		if ok {
-			delete(c.replies, seq)
-		}
-		c.mu.Unlock()
-		if ok {
-			return reply, nil
-		}
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("%w (%s)", ErrTimeout, handler)
-		}
-		c.ctx.Poll()
+	reply, err := f.Await()
+	if errors.Is(err, core.ErrDeadline) {
+		return nil, fmt.Errorf("%w (%s)", ErrTimeout, method)
 	}
+	return reply, err
 }

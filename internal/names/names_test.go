@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -142,9 +141,8 @@ func TestList(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sort.Strings(names)
-	if len(names) != 3 || names[0] != "a" || names[2] != "c" {
-		t.Errorf("List = %v", names)
+	if len(names) != 3 || names[0] != "a" || names[1] != "b" || names[2] != "c" {
+		t.Errorf("List = %v, want [a b c]", names)
 	}
 }
 
@@ -164,6 +162,45 @@ func TestRequestTimeout(t *testing.T) {
 	c.SetTimeout(100 * time.Millisecond)
 	if _, err := c.Resolve("x"); !errors.Is(err, names.ErrTimeout) {
 		t.Errorf("Resolve against silent server = %v, want names.ErrTimeout", err)
+	}
+}
+
+// TestLateReplyAfterTimeout: a reply that arrives after its request timed
+// out is dropped and counted by the client's RPC runtime, and the client
+// keeps working. The link's one-way latency puts the request in front of the
+// (polling) server well before the deadline but brings the reply back well
+// after it, whatever the scheduling.
+func TestLateReplyAfterTimeout(t *testing.T) {
+	slow := transport.Params{"latency": "150ms", "poll_cost": "0", "bandwidth": "0"}
+	m, err := cluster.New(cluster.Uniform(2, "p", core.MethodConfig{Name: "mpl", Params: slow}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	srv := names.NewServer(m.Context(0))
+	stop := m.Context(0).StartPoller(0)
+	defer stop()
+	sp, err := core.TransferStartpoint(srv.Startpoint(), m.Context(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := names.NewClient(m.Context(1), sp)
+	c.SetTimeout(5 * time.Second)
+	if err := c.Register("x", m.Context(1).NewEndpoint().NewStartpoint()); err != nil {
+		t.Fatal(err)
+	}
+
+	c.SetTimeout(250 * time.Millisecond) // round trip is >= 300ms
+	if _, err := c.Resolve("x"); !errors.Is(err, names.ErrTimeout) {
+		t.Fatalf("Resolve over a slow link = %v, want names.ErrTimeout", err)
+	}
+	c.SetTimeout(5 * time.Second)
+	if _, err := c.Resolve("x"); err != nil {
+		t.Fatalf("Resolve after a timeout: %v", err)
+	}
+	st := m.Context(1).Stats()
+	if late := st.Get("rpc.replies.duplicate") + st.Get("rpc.orphan_frames"); late != 1 {
+		t.Errorf("late replies counted = %d, want 1", late)
 	}
 }
 

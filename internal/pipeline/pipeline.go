@@ -5,10 +5,11 @@
 // a collector, with the communication methods chosen per link by the usual
 // table-driven selection.
 //
-// The pipeline is built directly on the one-sided RSR API (no MPI layer):
-// the source fires tile RSRs at workers, workers fire result RSRs back, and
-// flow control is a per-worker window of outstanding tiles. The source also
-// implements tile-level recovery: a tile unacknowledged past a deadline is
+// The pipeline is built on the request/reply layer (internal/rpc, no MPI
+// layer): each tile is one call to a worker's pipeline.tile method, whose
+// reply carries the processed pixels, and flow control is a per-worker
+// window of outstanding calls. The source also implements tile-level
+// recovery: a call unanswered past a deadline is cancelled and the tile
 // reassigned to the next worker, so a crashed worker delays but never loses
 // output — the "switch in the event of error" behaviour of §2 at the
 // application level, on top of the startpoint-level failover the core
@@ -18,19 +19,16 @@ package pipeline
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"time"
 
 	"nexus/internal/buffer"
 	"nexus/internal/cluster"
 	"nexus/internal/core"
+	"nexus/internal/rpc"
 )
 
-// Handler names used by the pipeline protocol.
-const (
-	handlerTile   = "pipeline.tile"
-	handlerResult = "pipeline.result"
-)
+// methodTile is the RPC method a worker serves: [pixels] -> [pixels].
+const methodTile = "pipeline.tile"
 
 // Config parameterises a pipeline run on a machine of 1 + Workers contexts:
 // rank 0 is the source and collector; ranks 1..Workers process tiles.
@@ -45,8 +43,8 @@ type Config struct {
 	FilterIters int
 	// Window bounds outstanding tiles per worker (default 2).
 	Window int
-	// RetryAfter reassigns a tile not acknowledged within this duration
-	// (default 2s); tiles are deduplicated at the collector.
+	// RetryAfter cancels and reassigns a tile not answered within this
+	// duration (default 2s).
 	RetryAfter time.Duration
 	// Timeout bounds the whole run (default 60s).
 	Timeout time.Duration
@@ -146,26 +144,21 @@ func Expected(cfg Config) float64 {
 	return sum
 }
 
-// InstallWorker registers the processing handler in a worker context. The
-// worker answers tile RSRs with result RSRs over the startpoint packed into
-// each tile message, whenever its context polls.
+// InstallWorker registers the tile-processing method on the worker
+// context's RPC runtime (attaching one if needed). The worker answers each
+// tile call with the processed pixels whenever its context polls.
 func InstallWorker(ctx *core.Context, cfg Config) {
 	cfg = cfg.withDefaults()
-	ctx.RegisterHandler(handlerTile, func(ep *core.Endpoint, b *buffer.Buffer) {
-		id := b.Int()
-		workerRank := b.Int()
-		px := b.Float64s()
-		reply, err := ctx.DecodeStartpoint(b)
-		if err != nil || b.Err() != nil {
+	rpc.Enable(ctx, core.RPCConfig{}).Register(methodTile, func(req *rpc.Request, r *rpc.Responder) {
+		px := req.Payload.Float64s()
+		if err := req.Payload.Err(); err != nil {
+			_ = r.Error(err)
 			return
 		}
 		out := processTile(cfg, px)
-		res := buffer.New(8*len(out) + 32)
-		res.PutInt(id)
-		res.PutInt(workerRank)
+		res := buffer.New(8*len(out) + 16)
 		res.PutFloat64s(out)
-		_ = reply.RSR(handlerResult, res)
-		reply.Close()
+		_ = r.Reply(res)
 	})
 }
 
@@ -178,37 +171,15 @@ func Run(m *cluster.Machine, cfg Config) (Stats, error) {
 		return Stats{}, fmt.Errorf("pipeline: %d workers on a machine of %d", cfg.Workers, m.Size())
 	}
 	src := m.Context(0)
+	r := rpc.Enable(src, core.RPCConfig{})
 	start := time.Now()
+	deadline := start.Add(cfg.Timeout)
 
-	// Collector state.
-	type doneTile struct {
-		worker int
-		sum    float64
-	}
-	collected := make(map[int]doneTile, cfg.Tiles)
-	resultEP := src.NewEndpoint(core.WithHandler(func(ep *core.Endpoint, b *buffer.Buffer) {
-		id := b.Int()
-		worker := b.Int()
-		px := b.Float64s()
-		if b.Err() != nil {
-			return
-		}
-		if _, dup := collected[id]; dup {
-			return // a retried tile came back twice; keep the first
-		}
-		sum := 0.0
-		for _, v := range px {
-			sum += v
-		}
-		collected[id] = doneTile{worker: worker, sum: sum}
-	}))
-	defer resultEP.Close()
-
-	// Startpoints to each worker's tile handler endpoint, via lightweight
-	// encoding (peer tables were exchanged at machine boot).
+	// Startpoints to each worker's context, via lightweight encoding (peer
+	// tables were exchanged at machine boot).
 	workerSP := make([]*core.Startpoint, cfg.Workers+1)
 	for wr := 1; wr <= cfg.Workers; wr++ {
-		ep := m.Context(wr).NewEndpoint() // tiles name the context handler
+		ep := m.Context(wr).NewEndpoint() // calls name the method, not the endpoint
 		sp, err := core.TransferStartpoint(ep.NewStartpoint(), src)
 		if err != nil {
 			return Stats{}, fmt.Errorf("pipeline: linking worker %d: %w", wr, err)
@@ -217,96 +188,125 @@ func Run(m *cluster.Machine, cfg Config) (Stats, error) {
 		defer sp.Close()
 	}
 
+	// One call per outstanding tile, keyed by tile id.
 	type assignment struct {
 		worker int
 		at     time.Time
+		f      *rpc.Future
 	}
 	outstanding := make(map[int]assignment)
+	defer func() { // on an early return, release the calls still pending
+		for _, a := range outstanding {
+			a.f.Cancel()
+		}
+	}()
 	inFlight := make([]int, cfg.Workers+1) // per-worker outstanding count
+	sums := make([]float64, cfg.Tiles)
+	doneBy := make([]int, cfg.Tiles) // worker whose reply was collected; 0 while pending
+	collected := 0
 	nextTile := 0
 	retries := 0
 	rr := 0 // round-robin cursor
 
-	sendTile := func(id int) error {
-		// Pick the next worker with window room.
+	// sendTile assigns a tile to the next worker with window room and
+	// reports whether one had room.
+	sendTile := func(id int) (bool, error) {
 		for try := 0; try < cfg.Workers; try++ {
 			rr = rr%cfg.Workers + 1
 			if inFlight[rr] < cfg.Window {
-				b := buffer.New(8*cfg.TileW*cfg.TileH + 64)
-				b.PutInt(id)
-				b.PutInt(rr)
+				b := buffer.New(8*cfg.TileW*cfg.TileH + 16)
 				b.PutFloat64s(sourceTile(cfg, id))
-				resultEP.NewStartpoint().EncodeLite(b)
-				if err := workerSP[rr].RSR(handlerTile, b); err != nil {
-					return err
+				f, err := r.Call(workerSP[rr], methodTile, b, rpc.CallOptions{Deadline: deadline})
+				if err != nil {
+					return false, err
 				}
-				outstanding[id] = assignment{worker: rr, at: time.Now()}
+				outstanding[id] = assignment{worker: rr, at: time.Now(), f: f}
 				inFlight[rr]++
-				return nil
+				return true, nil
 			}
 		}
-		return nil // no window room anywhere; caller retries after polling
+		return false, nil // no window room anywhere; caller retries after polling
+	}
+	anyDone := func() bool {
+		for _, a := range outstanding {
+			if a.f.Done() {
+				return true
+			}
+		}
+		return false
 	}
 
-	deadline := time.Now().Add(cfg.Timeout)
-	for len(collected) < cfg.Tiles {
+	for collected < cfg.Tiles {
 		if time.Now().After(deadline) {
-			return Stats{}, fmt.Errorf("pipeline: timeout with %d/%d tiles", len(collected), cfg.Tiles)
+			return Stats{}, fmt.Errorf("pipeline: timeout with %d/%d tiles", collected, cfg.Tiles)
 		}
 		// Feed new tiles while windows allow.
 		for nextTile < cfg.Tiles {
-			before := len(outstanding)
-			if err := sendTile(nextTile); err != nil {
+			sent, err := sendTile(nextTile)
+			if err != nil {
 				return Stats{}, err
 			}
-			if len(outstanding) == before {
+			if !sent {
 				break // all windows full
 			}
 			nextTile++
 		}
-		// Collect results.
-		if src.Poll() == 0 {
-			runtime.Gosched()
-		}
-		for id, d := range collected {
-			if a, ok := outstanding[id]; ok {
-				inFlight[a.worker]--
-				delete(outstanding, id)
-				_ = d
+		// Poll until a tile is answered or the oldest one is due a retry.
+		wake := deadline
+		for _, a := range outstanding {
+			if at := a.at.Add(cfg.RetryAfter); at.Before(wake) {
+				wake = at
 			}
 		}
-		// Reassign tiles stuck past the deadline (dead or slow worker).
+		src.PollUntil(anyDone, time.Until(wake))
+		// Collect answered tiles; cancel and reassign those stuck past
+		// RetryAfter (dead or slow worker), steering away from that worker
+		// when there is another.
 		now := time.Now()
 		for id, a := range outstanding {
+			if a.f.Done() {
+				res, err := a.f.Await()
+				if err != nil {
+					return Stats{}, fmt.Errorf("pipeline: tile %d on worker %d: %w", id, a.worker, err)
+				}
+				for _, v := range res.Float64s() {
+					sums[id] += v
+				}
+				if err := res.Err(); err != nil {
+					return Stats{}, fmt.Errorf("pipeline: tile %d: corrupt result: %w", id, err)
+				}
+				doneBy[id] = a.worker
+				collected++
+				inFlight[a.worker]--
+				delete(outstanding, id)
+				continue
+			}
 			if now.Sub(a.at) < cfg.RetryAfter {
 				continue
 			}
+			a.f.Cancel()
 			inFlight[a.worker]--
 			delete(outstanding, id)
 			retries++
-			// Steer away from the timed-out worker if possible.
 			if cfg.Workers > 1 {
 				rr = a.worker % cfg.Workers // next rr increment skips it
 			}
-			if err := sendTile(id); err != nil {
+			if _, err := sendTile(id); err != nil {
 				return Stats{}, err
 			}
 		}
 	}
 
 	st := Stats{
-		Tiles:     len(collected),
+		Tiles:     collected,
 		PerWorker: make([]int, cfg.Workers+1),
 		Retries:   retries,
 		Elapsed:   time.Since(start),
 	}
 	// Order-independent checksum: sum over tile ids.
 	for id := 0; id < cfg.Tiles; id++ {
-		d := collected[id]
-		st.Checksum += d.sum
-		if d.worker >= 1 && d.worker <= cfg.Workers {
-			st.PerWorker[d.worker]++
-		}
+		st.Checksum += sums[id]
+		st.PerWorker[doneBy[id]]++
 	}
 	if math.IsNaN(st.Checksum) {
 		return Stats{}, fmt.Errorf("pipeline: NaN checksum")

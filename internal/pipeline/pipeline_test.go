@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"math"
+	"sync"
 	"testing"
 	"time"
 
@@ -139,6 +140,66 @@ func TestWorkerCrashRecovered(t *testing.T) {
 	}
 	if st.PerWorker[1] != cfg.Tiles {
 		t.Errorf("live worker processed %d/%d tiles", st.PerWorker[1], cfg.Tiles)
+	}
+}
+
+// TestSlowWorkerCountedOnce: workers that answer, but only after
+// RetryAfter, get their first tiles cancelled and reassigned while the
+// original calls are still queued. When they start polling they answer the
+// cancelled calls too; those late replies must be dropped, every tile
+// counted exactly once, and the checksum stay exact.
+func TestSlowWorkerCountedOnce(t *testing.T) {
+	cfg := Config{
+		Workers: 2, Tiles: 10, TileW: 8, TileH: 8,
+		Window: 1, RetryAfter: 100 * time.Millisecond, Timeout: 30 * time.Second,
+	}
+	m, err := cluster.New(cluster.Uniform(3, "p", core.MethodConfig{Name: "inproc"}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	done := make(chan struct{})
+	var polling sync.WaitGroup
+	for r := 1; r <= cfg.Workers; r++ {
+		InstallWorker(m.Context(r), cfg)
+		polling.Add(1)
+		go func(ctx *core.Context) {
+			defer polling.Done()
+			select {
+			case <-time.After(5 * cfg.RetryAfter / 2):
+			case <-done:
+				return
+			}
+			stop := ctx.StartPoller(0)
+			<-done
+			stop()
+		}(m.Context(r))
+	}
+	defer func() { close(done); polling.Wait() }()
+
+	st, err := Run(m, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Tiles != cfg.Tiles {
+		t.Errorf("Tiles = %d, want %d", st.Tiles, cfg.Tiles)
+	}
+	if st.Retries < cfg.Workers {
+		t.Errorf("Retries = %d: the first tile on each worker cannot be answered before RetryAfter", st.Retries)
+	}
+	if late := m.Context(0).Stats().Get("rpc.replies.duplicate"); late == 0 {
+		t.Error("no late reply to a cancelled tile reached the source")
+	}
+	want := Expected(cfg)
+	if math.Abs(st.Checksum-want) > 1e-9*math.Abs(want) {
+		t.Errorf("checksum with slow workers = %v, want %v", st.Checksum, want)
+	}
+	total := 0
+	for _, n := range st.PerWorker {
+		total += n
+	}
+	if total != cfg.Tiles {
+		t.Errorf("PerWorker %v sums to %d, want %d", st.PerWorker, total, cfg.Tiles)
 	}
 }
 

@@ -240,9 +240,11 @@ type RPC struct {
 }
 
 // Enable attaches the RPC runtime to a context: it registers the response
-// endpoint, installs the core intake hook for wire.FlagRPC frames, and
-// publishes itself through the context's RPC state slot. Calling Enable on a
-// context that already has the layer returns the existing runtime.
+// endpoint, then installs the core intake hook for wire.FlagRPC frames and
+// publishes itself in one compare-and-swap on the context's RPC slot.
+// Calling Enable on a context that already has the layer returns the
+// existing runtime and ignores cfg; of concurrent first calls, one wins and
+// all return its runtime.
 func Enable(c *core.Context, cfg core.RPCConfig) *RPC {
 	if r := For(c); r != nil {
 		return r
@@ -289,8 +291,10 @@ func Enable(c *core.Context, cfg core.RPCConfig) *RPC {
 	r.cChunks = st.Counter("rpc.stream.chunks")
 	r.cOrphans = st.Counter("rpc.orphan_frames")
 	r.cBadFrames = st.Counter("rpc.bad_frames")
-	c.SetRPCIntake(r.intake)
-	c.SetRPCState(r)
+	if w := c.AttachRPC(r, r.intake).(*RPC); w != r {
+		r.ep.Close() // lost the race: the winner's endpoint serves replies
+		return w
+	}
 	return r
 }
 

@@ -527,6 +527,62 @@ func TestCallNotEnabled(t *testing.T) {
 	}
 }
 
+// TestEnableAttachesOnce races Enable on one bare context: every caller must
+// get the same runtime, and a call through each returned runtime must be
+// answered. A second runtime would displace the first's intake, leaving its
+// calls to die at their deadline.
+func TestEnableAttachesOnce(t *testing.T) {
+	tag := freshTag("rpc-enable-race")
+	serverC, server := newCtx(t, tag, "", core.RPCConfig{}, core.MethodConfig{Name: "inproc"})
+	server.Register("echo", echoHandler)
+	t.Cleanup(serverC.StartPoller(0))
+	c, err := core.NewContext(core.Options{
+		Methods: []core.MethodConfig{{Name: "inproc", Params: transport.Params{"exchange": tag}}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	sp := transferStartpoint(t, serverC.NewEndpoint().NewStartpoint(), c)
+
+	const n = 16
+	got := make([]*RPC, n)
+	errs := make(chan error, n)
+	start := make(chan struct{})
+	for i := 0; i < n; i++ {
+		go func(i int) {
+			<-start
+			r := Enable(c, core.RPCConfig{})
+			got[i] = r
+			errs <- func() error {
+				f, err := r.Call(sp, "echo", strBuf(fmt.Sprint(i)), CallOptions{Timeout: 10 * time.Second})
+				if err != nil {
+					return err
+				}
+				res, err := f.Await()
+				if err != nil {
+					return err
+				}
+				if want := fmt.Sprint(i) + "!"; res.String() != want {
+					return fmt.Errorf("reply %q, want %q", res.String(), want)
+				}
+				return nil
+			}()
+		}(i)
+	}
+	close(start)
+	for i := 0; i < n; i++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+	for i, r := range got {
+		if r != got[0] || r != For(c) {
+			t.Fatalf("Enable call %d returned runtime %p, want %p (For: %p)", i, r, got[0], For(c))
+		}
+	}
+}
+
 func TestTimeoutNegativeMeansNone(t *testing.T) {
 	_, caller, server, sp := inprocPair(t, "rpc-notimeout",
 		core.RPCConfig{DefaultTimeout: -1})
