@@ -305,9 +305,10 @@ type moduleState struct {
 	frames   *metrics.Counter
 	pollErrs *metrics.Counter
 
-	// maxMsg is the largest frame the module's connections accept (from
-	// transport.SizeLimiter; wire.MaxFrameLen when unlimited). Resolved once
-	// at enableMethod so the send fast path compares against a plain int.
+	// maxMsg is the largest frame the module's connections accept: the
+	// max_message attribute of its own descriptor, wire.MaxFrameLen when
+	// absent. Resolved once at enableMethod so the send fast path compares
+	// against a plain int.
 	maxMsg int
 
 	// lat holds the method's per-stage latency histograms; allocated at
@@ -449,11 +450,6 @@ func (c *Context) enableMethod(reg *transport.Registry, mc MethodConfig) error {
 		lat:      &obsv.StageSet{},
 		maxMsg:   wire.MaxFrameLen,
 	}
-	if sl, ok := mod.(transport.SizeLimiter); ok {
-		if n := sl.MaxMessage(); n > 0 && n < ms.maxMsg {
-			ms.maxMsg = n
-		}
-	}
 	ms.skipAtomic.Store(int64(mc.SkipPoll))
 	desc, err := mod.Init(transport.Env{
 		Context:   c.id,
@@ -461,11 +457,17 @@ func (c *Context) enableMethod(reg *transport.Registry, mc MethodConfig) error {
 		Partition: c.partition,
 		Params:    mc.Params,
 		Sink:      &methodSink{ctx: c, ms: ms},
+		Stats:     c.stats,
 	})
 	if err != nil {
 		return fmt.Errorf("core: enabling method %q: %w", mc.Name, err)
 	}
 	ms.desc = desc
+	if desc != nil {
+		if n := desc.MaxMessage(); n > 0 && n < ms.maxMsg {
+			ms.maxMsg = n
+		}
+	}
 	// Offer the reactor (no-op without one, or when the module declines);
 	// before registration, so ms.reactive is published with the module.
 	c.attachReactive(ms)

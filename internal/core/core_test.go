@@ -556,7 +556,6 @@ type flakyConn struct {
 	fails *atomic.Int64
 }
 
-func (m *flakyModule) Name() string { return "flaky" }
 func (m *flakyModule) Init(env transport.Env) (*transport.Descriptor, error) {
 	d, err := m.inner.Init(env)
 	if d != nil {
@@ -590,8 +589,7 @@ func (c *flakyConn) Send(frame []byte) error {
 	}
 	return c.inner.Send(frame)
 }
-func (c *flakyConn) Method() string { return "flaky" }
-func (c *flakyConn) Close() error   { return c.inner.Close() }
+func (c *flakyConn) Close() error { return c.inner.Close() }
 
 func TestFailoverToNextMethod(t *testing.T) {
 	tag := "failover"

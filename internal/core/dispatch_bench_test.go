@@ -79,7 +79,6 @@ func BenchmarkDispatchParallel(b *testing.B) {
 // so BenchmarkSendContention measures the startpoint send path itself.
 type nullModule struct{}
 
-func (nullModule) Name() string { return "null" }
 func (nullModule) Init(env transport.Env) (*transport.Descriptor, error) {
 	return &transport.Descriptor{Method: "null", Context: env.Context,
 		Attrs: map[string]string{"addr": "0"}}, nil
@@ -92,7 +91,6 @@ func (nullModule) Close() error                                      { return ni
 type nullConn struct{}
 
 func (nullConn) Send([]byte) error { return nil }
-func (nullConn) Method() string    { return "null" }
 func (nullConn) Close() error      { return nil }
 
 // BenchmarkSendContention hammers one startpoint with RSRs from GOMAXPROCS

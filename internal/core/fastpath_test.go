@@ -86,7 +86,6 @@ type recordedSend struct {
 	frame []byte // copy, decoded later
 }
 
-func (m *recordModule) Name() string { return "rec" }
 func (m *recordModule) Init(env transport.Env) (*transport.Descriptor, error) {
 	return &transport.Descriptor{Method: "rec", Context: env.Context,
 		Attrs: map[string]string{"addr": "x"}}, nil
@@ -111,8 +110,7 @@ func (c *recordConn) Send(frame []byte) error {
 	c.m.mu.Unlock()
 	return nil
 }
-func (c *recordConn) Method() string { return "rec" }
-func (c *recordConn) Close() error   { return nil }
+func (c *recordConn) Close() error { return nil }
 
 // TestMulticastEncodesOnce proves the fan-out property: an RSR on a
 // startpoint merged across 8 targets performs 8 Sends of the *same* backing

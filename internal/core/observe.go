@@ -213,21 +213,10 @@ func (c *Context) Observe() obsv.Snapshot {
 		TraceEnabled: mode&obsTrace != 0,
 		Counters:     c.stats.Snapshot(),
 	}
-	// Instantaneous levels sampled at snapshot time: the reassembler's
-	// buffered partial bytes, and whatever levels the modules themselves
-	// report (e.g. tcp's queued send backlog).
+	// The reassembler's buffered partial bytes, sampled at snapshot time.
+	// Module levels (tcp's queued send backlog, shm's live segments) are
+	// gauges in c.stats already.
 	s.Counters["frag.partials.bytes"] = uint64(c.frags.BufferedBytes())
-	c.mu.RLock()
-	mods := make([]*moduleState, len(c.modules))
-	copy(mods, c.modules)
-	c.mu.RUnlock()
-	for _, ms := range mods {
-		if sr, ok := ms.module.(transport.StatsReporter); ok {
-			for k, v := range sr.TransportStats() {
-				s.Counters[k] += v
-			}
-		}
-	}
 	var lat latMap
 	if p := c.obs.lat.Load(); p != nil {
 		lat = *p

@@ -420,9 +420,10 @@ type MethodInfo struct {
 	Frames uint64
 	// PollCostHint is the module's advertised per-poll cost (0 if unknown).
 	PollCostHint time.Duration
-	// MaxMessage is the largest encoded frame the method accepts in one send
-	// (transport.SizeLimiter; 0 means unlimited). RSRs whose frame exceeds
-	// it still go through — as fragments, reassembled at the receiver.
+	// MaxMessage is the largest encoded frame the method accepts in one send:
+	// the max_message attribute of its descriptor (0 means unlimited). RSRs
+	// whose frame exceeds it still go through — as fragments, reassembled at
+	// the receiver.
 	MaxMessage int
 	// ObservedPollCost is the mean measured poll latency from the
 	// observability histograms (0 until stats are enabled and the method
@@ -455,12 +456,10 @@ func (c *Context) Methods() []MethodInfo {
 		if ms.desc != nil {
 			d := ms.desc.Clone()
 			mi.Descriptor = &d
+			mi.MaxMessage = d.MaxMessage()
 		}
 		if h, ok := ms.module.(transport.CostHinter); ok {
 			mi.PollCostHint = h.PollCostHint()
-		}
-		if sl, ok := ms.module.(transport.SizeLimiter); ok {
-			mi.MaxMessage = sl.MaxMessage()
 		}
 		if c.obs.mode.Load()&obsStats != 0 {
 			if h := ms.lat.Stage(obsv.StagePoll); h.Count() >= minObservedPolls {

@@ -95,10 +95,10 @@ type target struct {
 	method   string
 	conn     *sharedConn
 	lat      *obsv.StageSet // the bound method's stage histograms
-	// maxMsg is the bound method's frame-size limit: the module's
-	// SizeLimiter bound intersected with the descriptor's max_message
-	// attribute (the remote side may accept less than the method could
-	// carry). Frames above it are fragmented (bulk.go).
+	// maxMsg is the bound method's frame-size limit: the local module's
+	// bound intersected with the remote descriptor's max_message attribute
+	// (the remote side may accept less than the method could carry). Frames
+	// above it are fragmented (bulk.go).
 	maxMsg int
 
 	// healthGen is the health-registry generation the current method was

@@ -65,8 +65,13 @@ func NewSet() *Set {
 }
 
 // Counter returns the counter with the given name, creating it on first use.
-// The returned pointer may be cached by callers on hot paths.
+// The returned pointer may be cached by callers on hot paths. A nil set
+// returns a fresh counter that no snapshot reports, so code handed no set
+// still counts without a nil check.
 func (s *Set) Counter(name string) *Counter {
+	if s == nil {
+		return &Counter{}
+	}
 	s.mu.RLock()
 	c, ok := s.counters[name]
 	s.mu.RUnlock()
@@ -86,8 +91,12 @@ func (s *Set) Counter(name string) *Counter {
 // Gauge returns the gauge with the given name, creating it on first use.
 // Like Counter, the returned pointer may be cached by hot-path callers.
 // Gauges share the counter namespace in snapshots; a gauge whose level is
-// negative (transiently possible between paired updates) snapshots as 0.
+// negative (transiently possible between paired updates) snapshots as 0. A
+// nil set returns a fresh, unreported gauge.
 func (s *Set) Gauge(name string) *Gauge {
+	if s == nil {
+		return &Gauge{}
+	}
 	s.mu.RLock()
 	g, ok := s.gauges[name]
 	s.mu.RUnlock()

@@ -120,3 +120,17 @@ func TestCachedCounterPointer(t *testing.T) {
 		t.Error("Counter returned distinct pointers for one name")
 	}
 }
+
+func TestNilSetHandsOutUsableMetrics(t *testing.T) {
+	var s *Set
+	c := s.Counter("x")
+	c.Inc()
+	g := s.Gauge("y")
+	g.Add(3)
+	if c.Load() != 1 || g.Load() != 3 {
+		t.Errorf("counter %d, gauge %d; want 1, 3", c.Load(), g.Load())
+	}
+	if s.Counter("x") == c {
+		t.Error("nil set returned a shared counter")
+	}
+}

@@ -50,10 +50,10 @@ type pendingCall struct {
 	result    *buffer.Buffer
 	resultBuf buffer.Buffer // inline storage for the unary reply
 	err       error
-	chunks map[uint64]*buffer.Buffer // received, not yet consumed, by index; lazily made
-	next   uint64                    // next chunk index Recv returns
-	total  uint64                    // chunk count, valid once ended
-	ended  bool
+	chunks    map[uint64]*buffer.Buffer // received, not yet consumed, by index; lazily made
+	next      uint64                    // next chunk index Recv returns
+	total     uint64                    // chunk count, valid once ended
+	ended     bool
 }
 
 // Future is the rendezvous for one unary call. The pending record lives

@@ -246,9 +246,6 @@ func New(f *Fabric, cfg Config) *Module {
 	return &Module{fabric: f, cfg: cfg}
 }
 
-// Name implements transport.Module.
-func (m *Module) Name() string { return m.cfg.Method }
-
 // Config reports the module's effective configuration.
 func (m *Module) Config() Config { return m.cfg }
 
@@ -295,9 +292,6 @@ func (m *Module) Init(env transport.Env) (*transport.Descriptor, error) {
 		Attrs:   attrs,
 	}, nil
 }
-
-// MaxMessage implements transport.SizeLimiter (0 = unlimited).
-func (m *Module) MaxMessage() int { return m.cfg.MaxMessage }
 
 // Applicable applies the method's scope rule: same fabric and process
 // always; same partition additionally for partition-scoped methods.
@@ -457,5 +451,4 @@ func (c *conn) Send(frame []byte) error {
 	return nil
 }
 
-func (c *conn) Method() string { return c.cfg.Method }
-func (c *conn) Close() error   { return nil }
+func (c *conn) Close() error { return nil }

@@ -78,7 +78,7 @@ func attachBurstReactor(t *testing.T, p *pair) (*atomic.Bool, bool) {
 			continue
 		}
 		if err := rm.AttachReactor(&burstReadiness{r: r, ready: ready}); err != nil {
-			t.Fatalf("%s AttachReactor: %v", m.Name(), err)
+			t.Fatalf("%T AttachReactor: %v", m, err)
 		}
 		attached = true
 	}

@@ -4,14 +4,17 @@
 // transport.Module" means the same thing everywhere: frames round-trip intact
 // up to the advertised size limit, oversized frames are refused with an error
 // matching transport.ErrTooLarge without poisoning the connection, concurrent
-// Send and Close do not race, and a closed connection can be replaced by
-// redialing the same descriptor. The suite runs under -race in CI.
+// Send and Close do not race, a closed connection can be replaced by
+// redialing the same descriptor, and closing a module releases its
+// goroutines, file descriptors and files. The suite runs under -race in CI.
 package transport_test
 
 import (
 	"bytes"
 	"errors"
-	"fmt"
+	"os"
+	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -79,8 +82,9 @@ type pair struct {
 
 // startPoller drives the pair's modules from one background goroutine for the
 // duration of the test, so blocking-window transports (rudp) never wedge a
-// sender waiting for ACKs only a Poll can produce.
-func (p *pair) startPoller(t *testing.T) {
+// sender waiting for ACKs only a Poll can produce. The returned stop waits
+// for the goroutine to exit; it runs at cleanup if the test does not call it.
+func (p *pair) startPoller(t *testing.T) (stop func()) {
 	t.Helper()
 	done := make(chan struct{})
 	exited := make(chan struct{})
@@ -103,18 +107,21 @@ func (p *pair) startPoller(t *testing.T) {
 			}
 		}
 	}()
-	t.Cleanup(func() { close(done); <-exited })
+	var once sync.Once
+	stop = func() { once.Do(func() { close(done); <-exited }) }
+	t.Cleanup(stop)
+	return stop
 }
 
 func initFixture(t *testing.T, m transport.Module, env transport.Env) transport.Descriptor {
 	t.Helper()
 	d, err := m.Init(env)
 	if err != nil {
-		t.Fatalf("%s Init: %v", m.Name(), err)
+		t.Fatalf("%T Init: %v", m, err)
 	}
 	t.Cleanup(func() { m.Close() })
 	if d == nil {
-		t.Fatalf("%s Init returned nil descriptor", m.Name())
+		t.Fatalf("%T Init returned nil descriptor", m)
 	}
 	return *d
 }
@@ -186,10 +193,13 @@ var fixtures = []struct {
 		if !shm.Supported() {
 			t.Skip("shm transport requires linux mmap/FIFO support")
 		}
+		// One base directory holds both modules' segment directories, so
+		// the leak check can see it empty again.
+		dir := t.TempDir()
 		sink := &collector{}
-		recv := shm.New(transport.Params{"dir": t.TempDir()})
+		recv := shm.New(transport.Params{"dir": dir})
 		desc := initFixture(t, recv, transport.Env{Context: 1, Sink: sink})
-		send := shm.New(transport.Params{"dir": t.TempDir()})
+		send := shm.New(transport.Params{"dir": dir})
 		initFixture(t, send, transport.Env{Context: 2, Sink: &collector{}})
 		// Both modules poll: the receiver drains accepted segments, the
 		// sender drains the reverse rings of segments it dialed.
@@ -207,14 +217,9 @@ var fixtures = []struct {
 	}},
 }
 
-// limit reports the pair's frame-size limit (0 = unlimited) via the
-// SizeLimiter capability, exactly as the core discovers it.
-func (p *pair) limit() int {
-	if sl, ok := p.send.(transport.SizeLimiter); ok {
-		return sl.MaxMessage()
-	}
-	return 0
-}
+// limit reports the pair's frame-size limit (0 = unlimited): the receiver's
+// advertised max_message, the one place a module states it.
+func (p *pair) limit() int { return p.desc.MaxMessage() }
 
 // deliver sends frame and waits until the sink holds it, retrying the send on
 // unreliable transports.
@@ -391,23 +396,99 @@ func TestConformanceRedialAfterClose(t *testing.T) {
 	}
 }
 
-// TestConformanceLimitAdvertised cross-checks the two faces of a size limit:
-// a descriptor that advertises a max_message attribute must belong to a
-// module that enforces exactly that limit via SizeLimiter, since remote
-// senders size their fragments from the descriptor alone. (Modules limited
-// only by the wire-level frame cap — tcp, secure — advertise nothing.)
+// exactBoundBudget caps the at-bound frame TestConformanceLimitAdvertised
+// sends. tcp's bound, and so secure-over-tcp's, is the wire format's cap of
+// about 64 MiB, and a frame that size is live four times at once (the
+// sender's, the receiver's stream buffer, its pooled frame, the collector's
+// copy) in a suite CI runs under -race; the smaller bounds make the check.
+const exactBoundBudget = 8 << 20
+
+// TestConformanceLimitAdvertised checks that a descriptor's max_message
+// attribute is exactly the bound the method's connections enforce, since the
+// local core and remote senders size their fragments from it alone: one
+// byte over is refused with ErrTooLarge, and a frame at the bound (within
+// exactBoundBudget) is delivered intact.
 func TestConformanceLimitAdvertised(t *testing.T) {
 	for _, fx := range fixtures {
 		t.Run(fx.name, func(t *testing.T) {
 			p := fx.make(t)
-			adv := p.desc.MaxMessage()
+			adv := p.limit()
 			if adv <= 0 {
 				t.Skipf("%s advertises no max_message attribute", fx.name)
 			}
-			if l := p.limit(); l != adv {
-				t.Errorf("descriptor advertises %d but SizeLimiter enforces %s",
-					adv, fmt.Sprint(l))
+			p.startPoller(t)
+			c, err := p.send.Dial(p.desc)
+			if err != nil {
+				t.Fatal(err)
 			}
+			defer c.Close()
+			if err := c.Send(make([]byte, adv+1)); !errors.Is(err, transport.ErrTooLarge) {
+				t.Fatalf("Send(max_message+1 = %d) err = %v, want errors.Is(..., transport.ErrTooLarge)", adv+1, err)
+			}
+			if adv <= exactBoundBudget {
+				p.deliver(t, c, pattern(0x6B, adv))
+			}
+		})
+	}
+}
+
+// openFDs counts the process's open file descriptors (-1 where /proc is
+// not available).
+func openFDs() int {
+	ents, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		return -1
+	}
+	return len(ents)
+}
+
+// TestConformanceCloseReleases checks that a module releases what it
+// acquired: after dialing, delivering a frame, closing the connection and
+// closing both modules, the goroutine count, the open fd count and (shm) the
+// segment base directory return to where they were before the fixture was
+// built, within a bounded wait for goroutines that are already exiting.
+func TestConformanceCloseReleases(t *testing.T) {
+	for _, fx := range fixtures {
+		t.Run(fx.name, func(t *testing.T) {
+			goroutines, fds := runtime.NumGoroutine(), openFDs()
+			p := fx.make(t)
+			stop := p.startPoller(t)
+			c, err := p.send.Dial(p.desc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.deliver(t, c, pattern(0x77, 128))
+			if err := c.Close(); err != nil {
+				t.Fatalf("conn Close: %v", err)
+			}
+			stop()
+			for _, m := range append([]transport.Module{p.send}, p.poll...) {
+				if err := m.Close(); err != nil {
+					t.Fatalf("%T Close: %v", m, err)
+				}
+			}
+			segBase := ""
+			if fx.name == "shm" {
+				segBase = filepath.Dir(p.desc.Attr("dir"))
+			}
+			var g, f int
+			var segs []os.DirEntry
+			for deadline := time.Now().Add(5 * time.Second); ; {
+				g, f = runtime.NumGoroutine(), openFDs()
+				segs = nil
+				if segBase != "" {
+					segs, _ = os.ReadDir(segBase)
+				}
+				if g <= goroutines && f <= fds && len(segs) == 0 {
+					return
+				}
+				if time.Now().After(deadline) {
+					break
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+			t.Fatalf("after Close: %d goroutines (was %d), %d fds (was %d), %d entries left in the segment base",
+				g, goroutines, f, fds, len(segs))
 		})
 	}
 }

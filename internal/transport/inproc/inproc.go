@@ -150,9 +150,6 @@ func New(e *Exchange, p transport.Params) *Module {
 	}
 }
 
-// Name implements transport.Module.
-func (m *Module) Name() string { return Name }
-
 // Init registers this context's mailbox on the exchange. The descriptor
 // carries the exchange and process identities used by Applicable.
 func (m *Module) Init(env transport.Env) (*transport.Descriptor, error) {
@@ -293,5 +290,4 @@ func (c *conn) Send(frame []byte) error {
 	return nil
 }
 
-func (c *conn) Method() string { return Name }
-func (c *conn) Close() error   { return nil }
+func (c *conn) Close() error { return nil }

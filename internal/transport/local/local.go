@@ -30,9 +30,6 @@ type Module struct {
 // New returns an uninitialized local module.
 func New() *Module { return &Module{} }
 
-// Name implements transport.Module.
-func (m *Module) Name() string { return Name }
-
 // Init records the environment and advertises reachability. The descriptor
 // has no attributes: applicability is decided purely by context identity.
 func (m *Module) Init(env transport.Env) (*transport.Descriptor, error) {
@@ -83,5 +80,4 @@ func (c *conn) Send(frame []byte) error {
 	return nil
 }
 
-func (c *conn) Method() string { return Name }
-func (c *conn) Close() error   { return nil }
+func (c *conn) Close() error { return nil }

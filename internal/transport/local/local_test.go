@@ -25,9 +25,6 @@ func TestLocalDelivery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Method() != Name {
-		t.Errorf("Method = %q", c.Method())
-	}
 	if err := c.Send([]byte("hi")); err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +94,7 @@ func TestRegisteredInDefaultRegistry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Name() != Name {
-		t.Errorf("Name = %q", m.Name())
+	if _, ok := m.(*Module); !ok {
+		t.Errorf("New(%q) built a %T", Name, m)
 	}
 }

@@ -19,6 +19,18 @@ import (
 // ErrWouldBlock reports that no data was available at the time of the read.
 var ErrWouldBlock = errors.New("rawpoll: no data available")
 
+// Fd returns the file descriptor behind c, or -1 when it has none. The fd
+// stays owned by c: it is valid only until c is closed.
+func Fd(c syscall.Conn) int {
+	rc, err := c.SyscallConn()
+	if err != nil {
+		return -1
+	}
+	fd := -1
+	_ = rc.Control(func(f uintptr) { fd = int(f) })
+	return fd
+}
+
 // Reader performs non-blocking reads on one socket. It caches the RawConn so
 // repeated polls do not reallocate.
 type Reader struct {

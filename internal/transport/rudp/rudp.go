@@ -142,9 +142,6 @@ func New(p transport.Params) *Module {
 	}
 }
 
-// Name implements transport.Module.
-func (m *Module) Name() string { return Name }
-
 // Init binds the datagram socket.
 func (m *Module) Init(env transport.Env) (*transport.Descriptor, error) {
 	m.mu.Lock()
@@ -171,7 +168,7 @@ func (m *Module) Init(env transport.Env) (*transport.Descriptor, error) {
 	m.env = env
 	m.pc = pc
 	m.br = br
-	m.fd = udpFd(pc)
+	m.fd = rawpoll.Fd(pc)
 	m.inited = true
 	m.rng = mrand.New(mrand.NewSource(m.seed))
 	return &transport.Descriptor{
@@ -183,9 +180,6 @@ func (m *Module) Init(env transport.Env) (*transport.Descriptor, error) {
 		},
 	}, nil
 }
-
-// MaxMessage implements transport.SizeLimiter: one frame per DATA datagram.
-func (m *Module) MaxMessage() int { return MaxPayload }
 
 // Applicable reports whether remote advertises an rudp address.
 func (m *Module) Applicable(remote transport.Descriptor) bool {
@@ -317,17 +311,6 @@ func (m *Module) Poll() (int, error) {
 	}
 	m.flushAcks(pendingAcks)
 	return delivered, nil
-}
-
-// udpFd returns the fd behind a *net.UDPConn (or -1).
-func udpFd(pc *net.UDPConn) int {
-	fd := -1
-	rc, err := pc.SyscallConn()
-	if err != nil {
-		return -1
-	}
-	_ = rc.Control(func(f uintptr) { fd = int(f) })
-	return fd
 }
 
 // AttachReactor implements transport.Reactive: the listen socket joins the
@@ -617,8 +600,6 @@ func (c *conn) retransmitter() {
 		}
 	}
 }
-
-func (c *conn) Method() string { return Name }
 
 // Close stops the connection's goroutines and releases its socket. Frames
 // still unacknowledged are abandoned.

@@ -22,6 +22,7 @@ import (
 	"strconv"
 	"sync/atomic"
 
+	"nexus/internal/metrics"
 	"nexus/internal/transport"
 )
 
@@ -50,7 +51,6 @@ func init() {
 // cannot fail.
 type brokenModule struct{ err error }
 
-func (b *brokenModule) Name() string                                      { return Name }
 func (b *brokenModule) Init(transport.Env) (*transport.Descriptor, error) { return nil, b.err }
 func (b *brokenModule) Applicable(transport.Descriptor) bool              { return false }
 func (b *brokenModule) Dial(transport.Descriptor) (transport.Conn, error) {
@@ -66,7 +66,12 @@ type Module struct {
 	aead      cipher.AEAD
 	noncePfx  [4]byte
 	seq       atomic.Uint64
-	dropped   atomic.Uint64
+
+	// Set once at Init. maxMsg is the inner descriptor's max_message minus
+	// the seal overhead (0: the inner method advertises no bound). dropped
+	// counts inbound frames that failed authentication (secure.dropped).
+	maxMsg  int
+	dropped *metrics.Counter
 }
 
 // New builds a secure module. Recognized parameters:
@@ -103,16 +108,11 @@ func New(reg *transport.Registry, p transport.Params) (*Module, error) {
 	return m, nil
 }
 
-// Name implements transport.Module.
-func (m *Module) Name() string { return Name }
-
-// Dropped reports how many inbound frames failed authentication (enquiry).
-func (m *Module) Dropped() uint64 { return m.dropped.Load() }
-
 // Init initializes the inner method with a decrypting sink and rewrites its
 // descriptor to advertise the secure method.
 func (m *Module) Init(env transport.Env) (*transport.Descriptor, error) {
 	outer := env.Sink
+	m.dropped = env.Stats.Counter("secure.dropped")
 	env.Sink = transport.SinkFunc(func(frame []byte) {
 		plain, err := m.open(frame)
 		if err != nil {
@@ -135,9 +135,11 @@ func (m *Module) Init(env transport.Env) (*transport.Descriptor, error) {
 	}
 	sd.Attrs["inner"] = m.innerName
 	// A size-limited inner method advertises its limit; the encryption
-	// envelope eats part of it, so re-advertise the effective bound.
-	if sd.Attrs[transport.AttrMaxMessage] != "" {
-		sd.Attrs[transport.AttrMaxMessage] = strconv.Itoa(m.MaxMessage())
+	// envelope eats part of it, so advertise the effective bound instead.
+	delete(sd.Attrs, transport.AttrMaxMessage)
+	if n := d.MaxMessage(); n > m.sealOverhead() {
+		m.maxMsg = n - m.sealOverhead()
+		sd.Attrs[transport.AttrMaxMessage] = strconv.Itoa(m.maxMsg)
 	}
 	return &sd, nil
 }
@@ -174,18 +176,6 @@ func (m *Module) Dial(remote transport.Descriptor) (transport.Conn, error) {
 
 // sealOverhead is the bytes seal adds to a frame: 12-byte nonce + GCM tag.
 func (m *Module) sealOverhead() int { return 12 + m.aead.Overhead() }
-
-// MaxMessage implements transport.SizeLimiter: whatever the inner method
-// accepts, minus the encryption envelope (0 — unlimited — if the inner
-// method has no limit).
-func (m *Module) MaxMessage() int {
-	if sl, ok := m.inner.(transport.SizeLimiter); ok {
-		if n := sl.MaxMessage(); n > m.sealOverhead() {
-			return n - m.sealOverhead()
-		}
-	}
-	return 0
-}
 
 // Poll polls the inner method; decryption happens in the sink.
 func (m *Module) Poll() (int, error) { return m.inner.Poll() }
@@ -234,11 +224,10 @@ type conn struct {
 func (c *conn) Send(frame []byte) error {
 	// Reject before encrypting: sealing a frame the inner method will refuse
 	// anyway would burn an AES pass over the whole oversized payload.
-	if limit := c.m.MaxMessage(); limit > 0 && len(frame) > limit {
+	if limit := c.m.maxMsg; limit > 0 && len(frame) > limit {
 		return fmt.Errorf("secure: frame of %d bytes exceeds inner %s limit: %w",
 			len(frame), c.m.innerName, transport.ErrTooLarge)
 	}
 	return c.inner.Send(c.m.seal(frame))
 }
-func (c *conn) Method() string { return Name }
-func (c *conn) Close() error   { return c.inner.Close() }
+func (c *conn) Close() error { return c.inner.Close() }

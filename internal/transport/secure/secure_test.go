@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"nexus/internal/metrics"
 	"nexus/internal/transport"
 	_ "nexus/internal/transport/tcp"
 	_ "nexus/internal/transport/udp"
@@ -91,7 +92,9 @@ func TestCiphertextOnWire(t *testing.T) {
 	// never reaching the application sink).
 	sink := &collect{}
 	recv := newSecure(t, nil)
-	d, err := recv.Init(transport.Env{Context: 1, Sink: sink})
+	stats := metrics.NewSet()
+	dropped := stats.Counter("secure.dropped")
+	d, err := recv.Init(transport.Env{Context: 1, Sink: sink, Stats: stats})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,14 +120,14 @@ func TestCiphertextOnWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(2 * time.Second)
-	for recv.Dropped() == 0 && time.Now().Before(deadline) {
+	for dropped.Load() == 0 && time.Now().Before(deadline) {
 		if _, err := recv.Poll(); err != nil {
 			t.Fatal(err)
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if recv.Dropped() != 1 {
-		t.Errorf("Dropped = %d, want 1 (forged frame rejected)", recv.Dropped())
+	if dropped.Load() != 1 {
+		t.Errorf("Dropped = %d, want 1 (forged frame rejected)", dropped.Load())
 	}
 	if sink.count() != 0 {
 		t.Errorf("forged frame reached the application: %q", sink.frames)
@@ -134,7 +137,9 @@ func TestCiphertextOnWire(t *testing.T) {
 func TestWrongKeyRejected(t *testing.T) {
 	sink := &collect{}
 	recv := newSecure(t, nil)
-	d, err := recv.Init(transport.Env{Context: 1, Sink: sink})
+	stats := metrics.NewSet()
+	dropped := stats.Counter("secure.dropped")
+	d, err := recv.Init(transport.Env{Context: 1, Sink: sink, Stats: stats})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,12 +159,12 @@ func TestWrongKeyRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(2 * time.Second)
-	for recv.Dropped() == 0 && time.Now().Before(deadline) {
+	for dropped.Load() == 0 && time.Now().Before(deadline) {
 		recv.Poll()
 		time.Sleep(time.Millisecond)
 	}
-	if recv.Dropped() != 1 || sink.count() != 0 {
-		t.Errorf("wrong-key frame: dropped=%d delivered=%d", recv.Dropped(), sink.count())
+	if dropped.Load() != 1 || sink.count() != 0 {
+		t.Errorf("wrong-key frame: dropped=%d delivered=%d", dropped.Load(), sink.count())
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"syscall"
 	"time"
 
+	"nexus/internal/metrics"
 	"nexus/internal/transport"
 )
 
@@ -92,11 +93,15 @@ type Module struct {
 	inited  bool
 	closed  bool
 
-	attaches atomic.Uint64
-	framesIn atomic.Uint64
-	corrupt  atomic.Uint64
-	rejects  atomic.Uint64
-	swept    atomic.Uint64
+	// Created in Env.Stats at Init. segments is a gauge of len(segs), moved
+	// under mu wherever segs grows or shrinks, so a closed module
+	// contributes zero.
+	segments *metrics.Gauge   // shm.segments
+	attaches *metrics.Counter // shm.attaches
+	framesIn *metrics.Counter // shm.frames.in
+	corrupt  *metrics.Counter // shm.ring.corrupt
+	rejects  *metrics.Counter // shm.attach.rejected
+	swept    *metrics.Counter // shm.stale.swept
 }
 
 // New returns an uninitialized shared-memory module. Recognized parameters:
@@ -123,13 +128,6 @@ func New(p transport.Params) *Module {
 		wfd:        -1,
 	}
 }
-
-// Name implements transport.Module.
-func (m *Module) Name() string { return Name }
-
-// MaxMessage implements transport.SizeLimiter: the bound a frame must meet
-// to fit this module's own rings (dialed segments are created at that size).
-func (m *Module) MaxMessage() int { return maxMessageFor(m.ringSize) }
 
 // PollCostHint implements transport.CostHinter: a poll pass is a FIFO read
 // plus a few loads per segment — far below a socket syscall, above inproc's
@@ -189,8 +187,16 @@ func (m *Module) Init(env transport.Env) (*transport.Descriptor, error) {
 	m.wfd = wfd
 	m.byPeer = make(map[transport.ContextID]*segment)
 	m.rbuf = make([]byte, 4096)
+	m.segments = env.Stats.Gauge("shm.segments")
+	m.attaches = env.Stats.Counter("shm.attaches")
+	m.framesIn = env.Stats.Counter("shm.frames.in")
+	m.corrupt = env.Stats.Counter("shm.ring.corrupt")
+	m.rejects = env.Stats.Counter("shm.attach.rejected")
+	m.swept = env.Stats.Counter("shm.stale.swept")
 	m.inited = true
 	m.sweepStale(base)
+	// The bound a frame must meet to fit this module's own rings (dialed
+	// segments are created at that size).
 	return &transport.Descriptor{
 		Method:  Name,
 		Context: env.Context,
@@ -198,7 +204,7 @@ func (m *Module) Init(env transport.Env) (*transport.Descriptor, error) {
 			attrHost:                 host,
 			attrDir:                  dir,
 			attrCtl:                  ctl,
-			transport.AttrMaxMessage: strconv.Itoa(m.MaxMessage()),
+			transport.AttrMaxMessage: strconv.Itoa(maxMessageFor(m.ringSize)),
 		},
 	}, nil
 }
@@ -290,7 +296,7 @@ func (m *Module) claimReverse(peer transport.ContextID) *conn {
 	m.mu.Lock()
 	seg := m.byPeer[peer]
 	m.mu.Unlock()
-	if seg == nil || seg.dead.Load() || seg.maxMsg < m.MaxMessage() {
+	if seg == nil || seg.dead.Load() || seg.maxMsg < maxMessageFor(m.ringSize) {
 		return nil
 	}
 	if seg.ring[0].closed.Load() != 0 || seg.ring[1].closed.Load() != 0 {
@@ -369,6 +375,7 @@ func (m *Module) dialFresh(remote transport.Descriptor) (transport.Conn, error) 
 		return nil, transport.ErrClosed
 	}
 	m.segs = append(m.segs, seg)
+	m.segments.Inc()
 	m.mu.Unlock()
 	return &conn{m: m, seg: seg, prod: 0}, nil
 }
@@ -579,6 +586,7 @@ func (m *Module) attachLocked(msg attachMsg) bool {
 		doorFd:  -1,
 	}
 	m.segs = append(m.segs, seg)
+	m.segments.Inc()
 	m.byPeer[seg.peerCtx] = seg
 	m.attaches.Add(1)
 	return true
@@ -649,6 +657,7 @@ func (m *Module) reap() {
 		}
 	}
 	m.segs = kept
+	m.segments.Add(-int64(len(dead)))
 	m.mu.Unlock()
 	for _, seg := range dead {
 		seg.unmap()
@@ -792,8 +801,6 @@ func (c *conn) SendBatch(frames [][]byte) (int, error) {
 	return len(frames), nil
 }
 
-func (c *conn) Method() string { return Name }
-
 // Close shuts this conn's direction down. A dialer closing its fresh
 // segment closes both directions (it is ring 0's producer and ring 1's
 // consumer) and wakes the peer so it can drain and reap; the last reverse
@@ -829,21 +836,6 @@ func (c *conn) Close() error {
 	return nil
 }
 
-// TransportStats implements transport.StatsReporter.
-func (m *Module) TransportStats() map[string]uint64 {
-	m.mu.Lock()
-	segs := uint64(len(m.segs))
-	m.mu.Unlock()
-	return map[string]uint64{
-		"shm.segments":        segs,
-		"shm.attaches":        m.attaches.Load(),
-		"shm.frames.in":       m.framesIn.Load(),
-		"shm.attach.rejected": m.rejects.Load(),
-		"shm.ring.corrupt":    m.corrupt.Load(),
-		"shm.stale.swept":     m.swept.Load(),
-	}
-}
-
 // Close shuts the module down: every segment closes both directions, peers
 // are woken to reap their side, mappings are released, and the segment
 // directory — FIFO included — is removed.
@@ -860,6 +852,9 @@ func (m *Module) Close() error {
 	}
 	segs := m.segs
 	m.segs = nil
+	if m.inited {
+		m.segments.Add(-int64(len(segs)))
+	}
 	m.byPeer = nil
 	rfd, wfd, dir := m.rfd, m.wfd, m.dir
 	m.rfd, m.wfd = -1, -1

@@ -15,8 +15,19 @@ import (
 	"testing"
 	"time"
 
+	"nexus/internal/metrics"
 	"nexus/internal/transport"
 )
+
+// testEnv is the environment every test module is initialized with: the
+// metrics set stands in for the context's, so stat can read it back.
+func testEnv(ctx transport.ContextID, sink transport.Sink) transport.Env {
+	return transport.Env{Context: ctx, Sink: sink, Stats: metrics.NewSet()}
+}
+
+// stat reads one of the module's counters or gauges from the set it was
+// initialized with.
+func stat(m *Module, name string) uint64 { return m.env.Stats.Get(name) }
 
 func newPair(t *testing.T, recvParams, sendParams transport.Params) (*Module, *Module, transport.Descriptor, *sinkFrames) {
 	t.Helper()
@@ -34,13 +45,13 @@ func newPair(t *testing.T, recvParams, sendParams transport.Params) (*Module, *M
 	}
 	sink := &sinkFrames{}
 	recv := New(recvParams)
-	desc, err := recv.Init(transport.Env{Context: 1, Sink: sink})
+	desc, err := recv.Init(testEnv(1, sink))
 	if err != nil {
 		t.Fatalf("recv Init: %v", err)
 	}
 	t.Cleanup(func() { recv.Close() })
 	send := New(sendParams)
-	if _, err := send.Init(transport.Env{Context: 2, Sink: &sinkFrames{}}); err != nil {
+	if _, err := send.Init(testEnv(2, &sinkFrames{})); err != nil {
 		t.Fatalf("send Init: %v", err)
 	}
 	t.Cleanup(func() { send.Close() })
@@ -81,7 +92,7 @@ func TestModuleRoundTrip(t *testing.T) {
 			t.Fatalf("frame %d corrupted or reordered", i)
 		}
 	}
-	if got := recv.TransportStats()["shm.segments"]; got != 1 {
+	if got := stat(recv, "shm.segments"); got != 1 {
 		t.Fatalf("receiver segments = %d, want 1", got)
 	}
 }
@@ -118,14 +129,14 @@ func TestBatchSendSingleDoorbell(t *testing.T) {
 func TestReverseRingReuse(t *testing.T) {
 	aSink := &sinkFrames{}
 	a := New(transport.Params{"dir": t.TempDir()})
-	aDesc, err := a.Init(transport.Env{Context: 1, Sink: aSink})
+	aDesc, err := a.Init(testEnv(1, aSink))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
 	bSink := &sinkFrames{}
 	b := New(transport.Params{"dir": t.TempDir()})
-	bDesc, err := b.Init(transport.Env{Context: 2, Sink: bSink})
+	bDesc, err := b.Init(testEnv(2, bSink))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +168,7 @@ func TestReverseRingReuse(t *testing.T) {
 	if !bytes.Equal(aSink.frames[0], pattern(2, 64)) {
 		t.Fatal("reverse frame corrupted")
 	}
-	if got := b.TransportStats()["shm.segments"]; got != 1 {
+	if got := stat(b, "shm.segments"); got != 1 {
 		t.Fatalf("B segments = %d, want 1 (reverse reuse must not map a second segment)", got)
 	}
 }
@@ -308,7 +319,7 @@ func TestOversizeRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	limit := send.MaxMessage()
+	limit := desc.MaxMessage()
 	if err := c.Send(make([]byte, limit+1)); !errors.Is(err, transport.ErrTooLarge) {
 		t.Fatalf("Send(limit+1) = %v, want ErrTooLarge", err)
 	}
@@ -385,12 +396,12 @@ func TestAcceptorReapsClosedSegment(t *testing.T) {
 	pollUntil(t, recv, sink, 1)
 	c.Close()
 	deadline := time.Now().Add(2 * time.Second)
-	for recv.TransportStats()["shm.segments"] != 0 {
+	for stat(recv, "shm.segments") != 0 {
 		if _, err := recv.Poll(); err != nil {
 			t.Fatal(err)
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("segment not reaped: %d live", recv.TransportStats()["shm.segments"])
+			t.Fatalf("segment not reaped: %d live", stat(recv, "shm.segments"))
 		}
 	}
 }
@@ -429,7 +440,7 @@ func TestFIFOGarbageIgnored(t *testing.T) {
 		t.Fatal(err)
 	}
 	pollUntil(t, recv, sink, 1)
-	if recv.TransportStats()["shm.attach.rejected"] == 0 {
+	if stat(recv, "shm.attach.rejected") == 0 {
 		t.Fatal("hostile attach lines were not counted as rejected")
 	}
 }
@@ -441,7 +452,7 @@ func TestStaleSweep(t *testing.T) {
 
 	// A live module whose directory merely looks old.
 	live := New(transport.Params{"dir": base})
-	if _, err := live.Init(transport.Env{Context: 1, Sink: &sinkFrames{}}); err != nil {
+	if _, err := live.Init(testEnv(1, &sinkFrames{})); err != nil {
 		t.Fatal(err)
 	}
 	defer live.Close()
@@ -468,7 +479,7 @@ func TestStaleSweep(t *testing.T) {
 	}
 
 	m := New(transport.Params{"dir": base})
-	if _, err := m.Init(transport.Env{Context: 2, Sink: &sinkFrames{}}); err != nil {
+	if _, err := m.Init(testEnv(2, &sinkFrames{})); err != nil {
 		t.Fatal(err)
 	}
 	defer m.Close()
@@ -482,8 +493,8 @@ func TestStaleSweep(t *testing.T) {
 	if _, err := os.Stat(young); err != nil {
 		t.Fatal("young ownerless directory was swept early")
 	}
-	if m.TransportStats()["shm.stale.swept"] != 1 {
-		t.Fatalf("swept = %d, want 1", m.TransportStats()["shm.stale.swept"])
+	if stat(m, "shm.stale.swept") != 1 {
+		t.Fatalf("swept = %d, want 1", stat(m, "shm.stale.swept"))
 	}
 }
 
@@ -494,7 +505,7 @@ func TestStaleSweep(t *testing.T) {
 func TestCrossProcessRoundTrip(t *testing.T) {
 	sink := &sinkFrames{}
 	recv := New(transport.Params{"dir": t.TempDir()})
-	desc, err := recv.Init(transport.Env{Context: 1, Sink: sink})
+	desc, err := recv.Init(testEnv(1, sink))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -530,7 +541,7 @@ func TestHelperShmChildSend(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := New(nil)
-	if _, err := m.Init(transport.Env{Context: 99, Sink: &sinkFrames{}}); err != nil {
+	if _, err := m.Init(testEnv(99, &sinkFrames{})); err != nil {
 		t.Fatal(err)
 	}
 	defer m.Close()
@@ -551,17 +562,11 @@ func TestHelperShmChildSend(t *testing.T) {
 func TestStatsAndHints(t *testing.T) {
 	recv, send, desc, sink := newPair(t, nil, nil)
 	var m transport.Module = recv
-	if _, ok := m.(transport.StatsReporter); !ok {
-		t.Fatal("shm module does not implement StatsReporter")
-	}
 	if _, ok := m.(transport.CostHinter); !ok {
 		t.Fatal("shm module does not implement CostHinter")
 	}
-	if _, ok := m.(transport.SizeLimiter); !ok {
-		t.Fatal("shm module does not implement SizeLimiter")
-	}
-	if adv := desc.MaxMessage(); adv != send.MaxMessage() {
-		t.Fatalf("descriptor advertises %d, module enforces %d", adv, send.MaxMessage())
+	if adv, want := desc.MaxMessage(), maxMessageFor(DefaultRingSize); adv != want {
+		t.Fatalf("descriptor advertises %d, rings carry %d", adv, want)
 	}
 	c, err := send.Dial(desc)
 	if err != nil {
@@ -574,7 +579,7 @@ func TestStatsAndHints(t *testing.T) {
 		}
 	}
 	pollUntil(t, recv, sink, 5)
-	st := recv.TransportStats()
+	st := recv.env.Stats.Snapshot()
 	if st["shm.frames.in"] < 5 {
 		t.Fatalf("frames.in = %d, want >= 5", st["shm.frames.in"])
 	}
@@ -582,4 +587,9 @@ func TestStatsAndHints(t *testing.T) {
 		t.Fatalf("attaches = %d, want 1", st["shm.attaches"])
 	}
 	_ = fmt.Sprint(st)
+	// A closed module's segments leave the gauge.
+	recv.Close()
+	if got := stat(recv, "shm.segments"); got != 0 {
+		t.Fatalf("shm.segments = %d after Close, want 0", got)
+	}
 }

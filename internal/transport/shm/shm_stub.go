@@ -17,9 +17,6 @@ type Module struct{}
 // New returns the stub module; parameters are ignored.
 func New(p transport.Params) *Module { return &Module{} }
 
-// Name implements transport.Module.
-func (m *Module) Name() string { return Name }
-
 // Init reports "cannot receive by this method" (nil descriptor, nil error),
 // which is the Module contract's way of opting a context out of a method.
 func (m *Module) Init(env transport.Env) (*transport.Descriptor, error) { return nil, nil }

@@ -16,11 +16,13 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strconv"
 	"sync"
 	"syscall"
 	"time"
 
 	"nexus/internal/bufpool"
+	"nexus/internal/metrics"
 	"nexus/internal/transport"
 	"nexus/internal/transport/rawpoll"
 	"nexus/internal/wire"
@@ -48,6 +50,7 @@ type Module struct {
 	inbound  []*inConn
 	outbound map[*outConn]struct{}
 	rdy      transport.Readiness // non-nil while reactor-attached
+	pending  *metrics.Gauge      // tcp.pending.bytes, shared by every outConn
 	inited   bool
 	closed   bool
 	acceptWG sync.WaitGroup
@@ -76,9 +79,6 @@ func New(p transport.Params) *Module {
 	}
 }
 
-// Name implements transport.Module.
-func (m *Module) Name() string { return Name }
-
 // Init starts the listener and the accept loop.
 func (m *Module) Init(env transport.Env) (*transport.Descriptor, error) {
 	m.mu.Lock()
@@ -92,13 +92,19 @@ func (m *Module) Init(env transport.Env) (*transport.Descriptor, error) {
 	}
 	m.env = env
 	m.ln = ln
+	m.pending = env.Stats.Gauge("tcp.pending.bytes")
 	m.inited = true
 	m.acceptWG.Add(1)
 	go m.acceptLoop(ln)
+	// A stream carries any legal wire frame, so the only bound is the wire
+	// format's own.
 	return &transport.Descriptor{
 		Method:  Name,
 		Context: env.Context,
-		Attrs:   map[string]string{"addr": ln.Addr().String()},
+		Attrs: map[string]string{
+			"addr":                   ln.Addr().String(),
+			transport.AttrMaxMessage: strconv.Itoa(wire.MaxFrameLen),
+		},
 	}, nil
 }
 
@@ -167,7 +173,7 @@ func (m *Module) Dial(remote transport.Descriptor) (transport.Conn, error) {
 		return nil, fmt.Errorf("tcp: dial %s: %w", remote.Attr("addr"), err)
 	}
 	m.tune(c)
-	oc := newOutConn(c, m.maxPending)
+	oc := newOutConn(c, m.maxPending, m.pending)
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
@@ -266,27 +272,6 @@ func (m *Module) AttachReactor(r transport.Readiness) error {
 	return nil
 }
 
-// MaxMessage implements transport.SizeLimiter: a stream carries any legal
-// wire frame, so the only bound is the wire format's own.
-func (m *Module) MaxMessage() int { return wire.MaxFrameLen }
-
-// TransportStats implements transport.StatsReporter: the bytes currently
-// queued behind in-flight writes across all outbound connections — the
-// send-side backlog a slow peer is costing this context right now.
-func (m *Module) TransportStats() map[string]uint64 {
-	m.mu.Lock()
-	out := make([]*outConn, 0, len(m.outbound))
-	for oc := range m.outbound {
-		out = append(out, oc)
-	}
-	m.mu.Unlock()
-	var pend uint64
-	for _, oc := range out {
-		pend += oc.pendingBytes()
-	}
-	return map[string]uint64{"tcp.pending.bytes": pend}
-}
-
 // PollCostHint implements transport.CostHinter: a readiness scan costs on the
 // order of a system call per connection, far above an in-memory queue check.
 func (m *Module) PollCostHint() time.Duration { return 100 * time.Microsecond }
@@ -357,12 +342,7 @@ func (ic *inConn) watch(r transport.Readiness) {
 	if !ok {
 		return
 	}
-	rc, err := sc.SyscallConn()
-	if err != nil {
-		return
-	}
-	fd := -1
-	_ = rc.Control(func(f uintptr) { fd = int(f) })
+	fd := rawpoll.Fd(sc)
 	if fd < 0 || r.Add(fd) != nil {
 		return
 	}
@@ -488,9 +468,16 @@ func (ic *inConn) extract(sink transport.Sink) int {
 // maxPending bytes: a sender that would overflow it blocks until the writer
 // flushes, so a slow peer surfaces as sender backpressure instead of
 // unbounded process memory.
+//
+// The module's tcp.pending.bytes gauge mirrors the queues: it moves up as a
+// frame is queued and down as a batch leaves the queue for the socket or the
+// queue is abandoned, all under oc.mu, so it is the bytes queued behind
+// in-flight writes across the module's connections — the send-side backlog a
+// slow peer is costing this context right now.
 type outConn struct {
 	c          net.Conn
-	maxPending int // pendingData byte cap; <=0 = unbounded
+	maxPending int            // pendingData byte cap; <=0 = unbounded
+	pending    *metrics.Gauge // the module's tcp.pending.bytes
 
 	// unregister removes this conn from the module's outbound set so a later
 	// Dial builds a fresh connection instead of finding a poisoned one; set
@@ -514,8 +501,8 @@ type outConn struct {
 	iov         net.Buffers
 }
 
-func newOutConn(c net.Conn, maxPending int) *outConn {
-	oc := &outConn{c: c, maxPending: maxPending}
+func newOutConn(c net.Conn, maxPending int, pending *metrics.Gauge) *outConn {
+	oc := &outConn{c: c, maxPending: maxPending, pending: pending}
 	oc.flushed.L = &oc.mu
 	return oc
 }
@@ -581,6 +568,7 @@ func (oc *outConn) Send(frame []byte) error {
 	binary.BigEndian.PutUint32(hdr[:], uint32(len(frame)))
 	*q = append(*q, hdr[:]...)
 	*q = append(*q, frame...)
+	oc.pending.Add(int64(4 + len(frame)))
 	*queued += uint64(4 + len(frame))
 	myEnd := *queued
 	for oc.err == nil && *done < myEnd {
@@ -600,20 +588,20 @@ func (oc *outConn) Send(frame []byte) error {
 	return err
 }
 
-// pendingBytes reports the bytes currently queued behind the writer, both
-// classes (for the module's TransportStats).
-func (oc *outConn) pendingBytes() uint64 {
-	oc.mu.Lock()
-	defer oc.mu.Unlock()
-	return uint64(len(oc.pendingCtl) + len(oc.pendingData))
-}
-
 // tearDown closes the socket and unregisters the conn from its module, once.
 // It runs on the first observed write error — so the poisoned socket is
 // released immediately and a later Dial to the same peer starts fresh — and
-// on Close.
+// on Close, where it also fails the frames still queued: their senders see
+// ErrClosed and the pending gauge drops by their bytes before Close returns.
 func (oc *outConn) tearDown() error {
 	oc.teardown.Do(func() {
+		oc.mu.Lock()
+		if oc.err == nil {
+			oc.err = transport.ErrClosed
+		}
+		oc.abandonLocked()
+		oc.flushed.Broadcast()
+		oc.mu.Unlock()
 		oc.closeErr = oc.c.Close()
 		if oc.unregister != nil {
 			oc.unregister()
@@ -638,6 +626,7 @@ func (oc *outConn) drainLocked() {
 			batch, done = oc.pendingData, &oc.doneData
 			oc.pendingData = nil
 		}
+		oc.pending.Add(-int64(len(batch)))
 		oc.mu.Unlock()
 		_, werr := oc.c.Write(batch)
 		oc.mu.Lock()
@@ -652,20 +641,23 @@ func (oc *outConn) drainLocked() {
 		oc.flushed.Broadcast()
 	}
 	if oc.err != nil {
-		// Abandon both queues: waiters whose bytes never reached the socket
-		// see their done counter stop short of their offset and report oc.err.
-		if len(oc.pendingCtl) > 0 {
-			bufpool.Put(oc.pendingCtl)
-			oc.pendingCtl = nil
-		}
-		if len(oc.pendingData) > 0 {
-			bufpool.Put(oc.pendingData)
-			oc.pendingData = nil
-		}
+		oc.abandonLocked()
 	}
 	oc.writing = false
 	oc.flushed.Broadcast()
 }
 
-func (oc *outConn) Method() string { return Name }
-func (oc *outConn) Close() error   { return oc.tearDown() }
+// abandonLocked drops both class queues after a write error or Close:
+// waiters whose bytes never reached the socket see their done counter stop
+// short of their offset and report oc.err. Called with oc.mu held.
+func (oc *outConn) abandonLocked() {
+	for _, q := range []*[]byte{&oc.pendingCtl, &oc.pendingData} {
+		if len(*q) > 0 {
+			oc.pending.Add(-int64(len(*q)))
+			bufpool.Put(*q)
+			*q = nil
+		}
+	}
+}
+
+func (oc *outConn) Close() error { return oc.tearDown() }

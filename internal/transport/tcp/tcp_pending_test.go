@@ -2,10 +2,13 @@ package tcp
 
 import (
 	"bufio"
+	"errors"
 	"net"
 	"testing"
 	"time"
 
+	"nexus/internal/metrics"
+	"nexus/internal/transport"
 	"nexus/internal/wire"
 )
 
@@ -30,7 +33,8 @@ func TestPendingDataCapAndControlPriority(t *testing.T) {
 	client, server := net.Pipe()
 	defer server.Close()
 	defer client.Close()
-	oc := newOutConn(client, 64)
+	stats := metrics.NewSet()
+	oc := newOutConn(client, 64, stats.Gauge("tcp.pending.bytes"))
 
 	frameA := pendingFrame(wire.ClassNormal, 'A', 20) // fast-path writer, blocks in the pipe
 	frameB := pendingFrame(wire.ClassNormal, 'B', 20) // queues: 4+54 = 58 <= 64
@@ -88,8 +92,8 @@ func TestPendingDataCapAndControlPriority(t *testing.T) {
 		defer oc.mu.Unlock()
 		return len(oc.pendingCtl) == 4+len(frameD)
 	})
-	if got := oc.pendingBytes(); got != uint64(4+len(frameB)+4+len(frameD)) {
-		t.Fatalf("pendingBytes = %d, want %d", got, 4+len(frameB)+4+len(frameD))
+	if got := stats.Get("tcp.pending.bytes"); got != uint64(4+len(frameB)+4+len(frameD)) {
+		t.Fatalf("tcp.pending.bytes = %d, want %d", got, 4+len(frameB)+4+len(frameD))
 	}
 
 	// Drain the pipe and record arrival order.
@@ -122,14 +126,65 @@ func TestPendingDataCapAndControlPriority(t *testing.T) {
 	if string(order) != string(want) {
 		t.Fatalf("arrival order %q, want %q", order, want)
 	}
+	if got := stats.Get("tcp.pending.bytes"); got != 0 {
+		t.Fatalf("tcp.pending.bytes = %d with every frame flushed, want 0", got)
+	}
 }
 
-// TestTransportStatsReportsPending checks the module-level StatsReporter
-// surface: the key exists and sums outbound queues.
+// TestCloseAbandonsPending closes an outConn while one frame is mid-write
+// and another is queued behind it: the queued sender fails with ErrClosed
+// and the pending gauge is back at zero when Close returns.
+func TestCloseAbandonsPending(t *testing.T) {
+	client, server := net.Pipe()
+	defer server.Close()
+	stats := metrics.NewSet()
+	oc := newOutConn(client, 0, stats.Gauge("tcp.pending.bytes"))
+	writer := make(chan error, 1)
+	go func() { writer <- oc.Send(pendingFrame(wire.ClassNormal, 'A', 20)) }()
+	queued := make(chan error, 1)
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		oc.mu.Lock()
+		writing := oc.writing
+		oc.mu.Unlock()
+		if writing {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("timed out waiting for A to claim the writer")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	go func() { queued <- oc.Send(pendingFrame(wire.ClassNormal, 'B', 20)) }()
+	for stats.Get("tcp.pending.bytes") == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("timed out waiting for B to queue")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	oc.Close()
+	if got := stats.Get("tcp.pending.bytes"); got != 0 {
+		t.Fatalf("tcp.pending.bytes = %d after Close, want 0", got)
+	}
+	if err := <-queued; !errors.Is(err, transport.ErrClosed) {
+		t.Fatalf("queued Send after Close = %v, want ErrClosed", err)
+	}
+	if err := <-writer; err == nil {
+		t.Fatal("mid-write Send on a closed pipe succeeded")
+	}
+}
+
+// TestTransportStatsReportsPending checks the module-level gauge in the
+// context's metrics set: the key exists once the module is initialized and
+// reads zero once the module is closed.
 func TestTransportStatsReportsPending(t *testing.T) {
-	recv, d := initModule(t, nil, 1, &collect{})
-	send, _ := initModule(t, nil, 2, &collect{})
-	_ = recv
+	_, d := initModule(t, nil, 1, &collect{})
+	stats := metrics.NewSet()
+	send := New(nil)
+	if _, err := send.Init(transport.Env{Context: 2, Sink: &collect{}, Stats: stats}); err != nil {
+		t.Fatal(err)
+	}
+	defer send.Close()
 	c, err := send.Dial(d)
 	if err != nil {
 		t.Fatal(err)
@@ -138,8 +193,11 @@ func TestTransportStatsReportsPending(t *testing.T) {
 	if err := c.Send(pendingFrame(wire.ClassNormal, 'x', 8)); err != nil {
 		t.Fatal(err)
 	}
-	stats := send.TransportStats()
-	if _, ok := stats["tcp.pending.bytes"]; !ok {
-		t.Fatalf("TransportStats missing tcp.pending.bytes: %v", stats)
+	if _, ok := stats.Snapshot()["tcp.pending.bytes"]; !ok {
+		t.Fatalf("metrics set missing tcp.pending.bytes: %v", stats.Snapshot())
+	}
+	send.Close()
+	if got := stats.Get("tcp.pending.bytes"); got != 0 {
+		t.Fatalf("tcp.pending.bytes = %d after Close, want 0", got)
 	}
 }

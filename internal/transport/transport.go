@@ -11,9 +11,17 @@
 // encodes selection preference ("fastest first").
 //
 // In the original Nexus the module interface was a C function table; in Go it
-// is simply an interface, with optional capabilities (readiness fds for the
-// reactor, poll-cost hints) discovered by interface assertion. Inbound
-// detection always goes through Module.Poll; the caller decides when.
+// is simply an interface of the five calls the core makes (Init, Applicable,
+// Dial, Poll, Close), with three optional capabilities discovered by
+// interface assertion: readiness fds for the reactor (Reactive), batched
+// sends (BatchSender) and poll-cost hints (CostHinter). Inbound detection
+// always goes through Module.Poll; the caller decides when.
+//
+// Everything else a module states about itself travels in its descriptor or
+// in the context's metrics set. A method's frame-size limit is the
+// max_message attribute of the descriptor Init returns, the one place the
+// local core and remote senders both read it. Queue levels and counters are
+// gauges and counters a module creates in Env.Stats at Init.
 package transport
 
 import (
@@ -21,6 +29,8 @@ import (
 	"fmt"
 	"strconv"
 	"time"
+
+	"nexus/internal/metrics"
 )
 
 // ContextID uniquely identifies a context (an address space / virtual
@@ -61,26 +71,20 @@ const AttrCost = "cost_ns"
 
 // Cost reports the descriptor's advertised cost estimate in nanoseconds
 // (0 when absent or malformed).
-func (d Descriptor) Cost() int64 {
-	a := d.Attrs[AttrCost]
-	if a == "" {
-		return 0
-	}
-	n, err := strconv.ParseInt(a, 10, 64)
-	if err != nil || n < 0 {
-		return 0
-	}
-	return n
-}
+func (d Descriptor) Cost() int64 { return d.nonNegative(AttrCost) }
 
 // MaxMessage reports the descriptor's advertised frame-size limit in bytes
 // (0 when absent or malformed, meaning "no advertised limit").
-func (d Descriptor) MaxMessage() int {
-	a := d.Attrs[AttrMaxMessage]
+func (d Descriptor) MaxMessage() int { return int(d.nonNegative(AttrMaxMessage)) }
+
+// nonNegative parses the named attribute as a non-negative integer (0 when
+// absent, malformed or negative).
+func (d Descriptor) nonNegative(key string) int64 {
+	a := d.Attrs[key]
 	if a == "" {
-		return 0
+		return 0 // skip the parse, whose syntax error allocates
 	}
-	n, err := strconv.Atoi(a)
+	n, err := strconv.ParseInt(a, 10, 64)
 	if err != nil || n < 0 {
 		return 0
 	}
@@ -150,6 +154,14 @@ type Env struct {
 	Params Params
 	// Sink receives inbound frames.
 	Sink Sink
+	// Stats is the hosting context's metrics set, the one the core fills in.
+	// A module creates its counters and gauges here at Init, named with the
+	// method as prefix ("tcp.pending.bytes"), and they appear in the
+	// context's Observe snapshot and /debug/nexusz. Gauges are levels: a
+	// module moves them back down as it releases what they count, so a
+	// closed module contributes zero. Nil outside a core; metrics.Set hands
+	// out unregistered counters then.
+	Stats *metrics.Set
 }
 
 // Conn is an active connection — the paper's "communication object". A Conn
@@ -166,8 +178,6 @@ type Conn interface {
 	// re-address it in place per target, and return its scratch to the
 	// pool unconditionally.
 	Send(frame []byte) error
-	// Method reports the module name that produced this connection.
-	Method() string
 	// Close releases the connection.
 	Close() error
 }
@@ -175,12 +185,13 @@ type Conn interface {
 // Module implements a communication method. A Module instance belongs to a
 // single context and is not shared.
 type Module interface {
-	// Name reports the method name used in descriptors and resource strings.
-	Name() string
 	// Init binds the module to its context. The returned descriptor
 	// advertises how other contexts reach this context by this method; a nil
 	// descriptor (with nil error) means the context cannot receive by this
-	// method, but may still dial out.
+	// method, but may still dial out. A method whose connections bound the
+	// frame size Conn.Send accepts states that bound, in bytes, as the
+	// descriptor's max_message attribute; a Conn refusing a larger frame
+	// returns an error matching ErrTooLarge.
 	Init(env Env) (*Descriptor, error)
 	// Applicable reports whether this module can be used to send to remote.
 	// It is the method-specific half of the paper's selection rule: a method
@@ -249,25 +260,6 @@ type BatchSender interface {
 // automatically (the paper's "adaptive adjustment" future work).
 type CostHinter interface {
 	PollCostHint() time.Duration
-}
-
-// SizeLimiter is an optional capability: a module whose connections bound the
-// frame size Conn.Send accepts. MaxMessage reports that bound in bytes; 0
-// means unlimited (beyond the wire format's own cap). The core uses it to
-// decide when a bulk payload must be fragmented, and size-aware selection
-// uses it to prefer methods that can carry a payload natively. A Conn
-// rejecting an oversized frame returns an error matching ErrTooLarge.
-type SizeLimiter interface {
-	MaxMessage() int
-}
-
-// StatsReporter is an optional capability: a module that exposes internal
-// levels and totals (queue depths, buffered bytes) for the context's enquiry
-// snapshot. Keys should be prefixed with the method name ("tcp.pending.bytes")
-// so they merge into the context's counter namespace without collisions.
-// TransportStats must be safe for concurrent use.
-type StatsReporter interface {
-	TransportStats() map[string]uint64
 }
 
 // Errors shared by module implementations.

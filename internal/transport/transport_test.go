@@ -204,7 +204,6 @@ func TestParamsCloneMerge(t *testing.T) {
 
 type fakeModule struct{ name string }
 
-func (m *fakeModule) Name() string                  { return m.name }
 func (m *fakeModule) Init(Env) (*Descriptor, error) { return nil, nil }
 func (m *fakeModule) Applicable(Descriptor) bool    { return false }
 func (m *fakeModule) Dial(Descriptor) (Conn, error) { return nil, ErrNotApplicable }
@@ -222,7 +221,7 @@ func TestRegistry(t *testing.T) {
 		t.Error("Has(x) = false after Register")
 	}
 	m, err := r.New("x", nil)
-	if err != nil || m.Name() != "x" {
+	if fm, ok := m.(*fakeModule); err != nil || !ok || fm.name != "x" {
 		t.Errorf("New(x) = %v, %v", m, err)
 	}
 	if _, err := r.New("missing", nil); err == nil {

@@ -116,20 +116,6 @@ func New(p transport.Params) *Module {
 	}
 }
 
-// Name implements transport.Module.
-func (m *Module) Name() string { return Name }
-
-// udpFd returns the fd behind a *net.UDPConn (or -1).
-func udpFd(pc *net.UDPConn) int {
-	fd := -1
-	rc, err := pc.SyscallConn()
-	if err != nil {
-		return -1
-	}
-	_ = rc.Control(func(f uintptr) { fd = int(f) })
-	return fd
-}
-
 // Init binds the datagram socket.
 func (m *Module) Init(env transport.Env) (*transport.Descriptor, error) {
 	m.mu.Lock()
@@ -156,7 +142,7 @@ func (m *Module) Init(env transport.Env) (*transport.Descriptor, error) {
 	m.env = env
 	m.pc = pc
 	m.br = br
-	m.fd = udpFd(pc)
+	m.fd = rawpoll.Fd(pc)
 	m.inited = true
 	return &transport.Descriptor{
 		Method:  Name,
@@ -167,9 +153,6 @@ func (m *Module) Init(env transport.Env) (*transport.Descriptor, error) {
 		},
 	}, nil
 }
-
-// MaxMessage implements transport.SizeLimiter: one frame per datagram.
-func (m *Module) MaxMessage() int { return MaxDatagram }
 
 // Applicable reports whether remote advertises a UDP address.
 func (m *Module) Applicable(remote transport.Descriptor) bool {
@@ -408,5 +391,4 @@ func gsoSegment(frames [][]byte) int {
 	return seg
 }
 
-func (c *conn) Method() string { return Name }
-func (c *conn) Close() error   { return c.c.Close() }
+func (c *conn) Close() error { return c.c.Close() }

@@ -178,8 +178,6 @@ type loopbackModule struct {
 	self nexus.ContextID
 }
 
-func (m *loopbackModule) Name() string { return m.name }
-
 func (m *loopbackModule) Init(env nexus.ModuleEnv) (*nexus.Descriptor, error) {
 	m.sink = env.Sink
 	m.self = env.Context
@@ -216,8 +214,7 @@ func (c loopConn) Send(frame []byte) error {
 	c.m.mu.Unlock()
 	return nil
 }
-func (c loopConn) Method() string { return c.m.name }
-func (c loopConn) Close() error   { return nil }
+func (c loopConn) Close() error { return nil }
 
 // TestErrorsExported checks that the facade's error values support errors.Is
 // against core failures.
